@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
-#include <optional>
+#include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/csv.h"
@@ -16,317 +17,38 @@ namespace serve {
 
 namespace {
 
-/// Minimal JSON reader for the serve row format: an array of flat objects
-/// whose values are strings or null. Anything else — nested structures,
-/// numbers, booleans, syntax errors — is InvalidArgument with a byte
-/// offset. Kept local to the engine: this is a wire format, not a general
-/// JSON library.
-class JsonRowsParser {
- public:
-  explicit JsonRowsParser(std::string_view text) : text_(text) {}
-
-  Status Parse(const Schema& schema, std::vector<std::vector<
-                   std::pair<AttrIndex, std::optional<std::string>>>>* rows) {
-    SkipWs();
-    GUARDRAIL_RETURN_NOT_OK(Expect('['));
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return ExpectEnd();
-    }
-    while (true) {
-      rows->emplace_back();
-      GUARDRAIL_RETURN_NOT_OK(ParseObject(schema, &rows->back()));
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        SkipWs();
-        continue;
-      }
-      GUARDRAIL_RETURN_NOT_OK(Expect(']'));
-      return ExpectEnd();
-    }
-  }
-
- private:
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void SkipWs() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  Status Fail(const std::string& what) const {
-    return Status::InvalidArgument("JSON rows: " + what + " at byte " +
-                                   std::to_string(pos_));
-  }
-
-  Status Expect(char c) {
-    if (Peek() != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  Status ExpectEnd() {
-    SkipWs();
-    if (pos_ != text_.size()) return Fail("trailing content");
-    return Status::OK();
-  }
-
-  Status ParseObject(
-      const Schema& schema,
-      std::vector<std::pair<AttrIndex, std::optional<std::string>>>* row) {
-    SkipWs();
-    GUARDRAIL_RETURN_NOT_OK(Expect('{'));
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      GUARDRAIL_RETURN_NOT_OK(ParseString(&key));
-      AttrIndex attr = schema.FindAttribute(key);
-      if (attr < 0) return Fail("unknown attribute '" + key + "'");
-      SkipWs();
-      GUARDRAIL_RETURN_NOT_OK(Expect(':'));
-      SkipWs();
-      if (Peek() == 'n') {
-        GUARDRAIL_RETURN_NOT_OK(ExpectLiteral("null"));
-        row->emplace_back(attr, std::nullopt);
-      } else {
-        std::string value;
-        GUARDRAIL_RETURN_NOT_OK(ParseString(&value));
-        row->emplace_back(attr, std::move(value));
-      }
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect('}');
-    }
-  }
-
-  Status ExpectLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) {
-      return Fail("expected '" + std::string(literal) + "'");
-    }
-    pos_ += literal.size();
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    GUARDRAIL_RETURN_NOT_OK(Expect('"'));
-    out->clear();
-    while (true) {
-      if (pos_ >= text_.size()) return Fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("unterminated escape");
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out->push_back(esc);
-          break;
-        case 'b':
-          out->push_back('\b');
-          break;
-        case 'f':
-          out->push_back('\f');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'u': {
-          uint32_t code = 0;
-          GUARDRAIL_RETURN_NOT_OK(ParseHex4(&code));
-          if (code >= 0xD800 && code <= 0xDBFF) {
-            // Surrogate pair: the low half must follow immediately.
-            if (text_.substr(pos_, 2) != "\\u") {
-              return Fail("lone high surrogate");
-            }
-            pos_ += 2;
-            uint32_t low = 0;
-            GUARDRAIL_RETURN_NOT_OK(ParseHex4(&low));
-            if (low < 0xDC00 || low > 0xDFFF) {
-              return Fail("invalid low surrogate");
-            }
-            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-          } else if (code >= 0xDC00 && code <= 0xDFFF) {
-            return Fail("lone low surrogate");
-          }
-          AppendUtf8(code, out);
-          break;
-        }
-        default:
-          return Fail("invalid escape");
-      }
-    }
-  }
-
-  Status ParseHex4(uint32_t* out) {
-    if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_ + static_cast<size_t>(i)];
-      v <<= 4;
-      if (c >= '0' && c <= '9') {
-        v |= static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        v |= static_cast<uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        v |= static_cast<uint32_t>(c - 'A' + 10);
-      } else {
-        return Fail("invalid \\u escape");
-      }
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::OK();
-  }
-
-  static void AppendUtf8(uint32_t code, std::string* out) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-Result<std::vector<Row>> DecodeCsvRows(const std::string& payload,
-                                       Schema* schema, int64_t max_rows) {
-  GUARDRAIL_ASSIGN_OR_RETURN(CsvDocument doc, ParseCsv(payload));
-  if (static_cast<int64_t>(doc.rows.size()) > max_rows) {
-    return Status::InvalidArgument(
-        "batch of " + std::to_string(doc.rows.size()) +
-        " row(s) exceeds the per-request cap of " + std::to_string(max_rows));
-  }
-  // The header is the contract: it must name this dataset's attributes in
-  // schema order, so a client compiled against a stale schema fails loudly
-  // instead of silently validating shifted columns.
-  if (static_cast<int32_t>(doc.header.size()) != schema->num_attributes()) {
-    return Status::InvalidArgument(
-        "CSV header has " + std::to_string(doc.header.size()) +
-        " column(s), dataset schema has " +
-        std::to_string(schema->num_attributes()));
-  }
-  for (AttrIndex c = 0; c < schema->num_attributes(); ++c) {
-    if (doc.header[static_cast<size_t>(c)] != schema->attribute(c).name()) {
-      return Status::InvalidArgument(
-          "CSV header column " + std::to_string(c + 1) + " is '" +
-          doc.header[static_cast<size_t>(c)] + "', expected '" +
-          schema->attribute(c).name() + "'");
-    }
-  }
-  std::vector<Row> rows;
-  rows.reserve(doc.rows.size());
-  for (const auto& record : doc.rows) {
-    Row row(static_cast<size_t>(schema->num_attributes()), kNullValue);
-    for (AttrIndex c = 0; c < schema->num_attributes(); ++c) {
-      // Empty fields are ordinary labels, exactly as Table::FromCsv treats
-      // them — serving must agree with offline byte for byte.
-      row[static_cast<size_t>(c)] =
-          schema->attribute(c).GetOrInsert(record[static_cast<size_t>(c)]);
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-Result<std::vector<Row>> DecodeJsonRows(const std::string& payload,
-                                        Schema* schema, int64_t max_rows) {
-  std::vector<std::vector<std::pair<AttrIndex, std::optional<std::string>>>>
-      parsed;
-  JsonRowsParser parser(payload);
-  GUARDRAIL_RETURN_NOT_OK(parser.Parse(*schema, &parsed));
-  if (static_cast<int64_t>(parsed.size()) > max_rows) {
-    return Status::InvalidArgument(
-        "batch of " + std::to_string(parsed.size()) +
-        " row(s) exceeds the per-request cap of " + std::to_string(max_rows));
-  }
-  std::vector<Row> rows;
-  rows.reserve(parsed.size());
-  for (size_t r = 0; r < parsed.size(); ++r) {
-    Row row(static_cast<size_t>(schema->num_attributes()), kNullValue);
-    std::vector<bool> seen(row.size(), false);
-    for (auto& [attr, label] : parsed[r]) {
-      if (seen[static_cast<size_t>(attr)]) {
-        return Status::InvalidArgument(
-            "JSON row " + std::to_string(r + 1) + " repeats attribute '" +
-            schema->attribute(attr).name() + "'");
-      }
-      seen[static_cast<size_t>(attr)] = true;
-      if (label.has_value()) {
-        row[static_cast<size_t>(attr)] =
-            schema->attribute(attr).GetOrInsert(*label);
-      }
-    }
-    for (AttrIndex c = 0; c < schema->num_attributes(); ++c) {
-      if (!seen[static_cast<size_t>(c)]) {
-        return Status::InvalidArgument(
-            "JSON row " + std::to_string(r + 1) + " is missing attribute '" +
-            schema->attribute(c).name() + "' (use null for a missing cell)");
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 /// Renders a repaired row as one CSV record, with the same field convention
-/// as Table::ToCsv (NULL cells become empty fields).
-std::string RowToCsvRecord(const Schema& schema, const Row& row) {
+/// as Table::ToCsv (NULL cells become empty fields). Overlay labels render
+/// verbatim.
+std::string RowToCsvRecord(const DecodedColumns& columns, const Row& row) {
   std::vector<std::string> fields;
   fields.reserve(row.size());
-  for (AttrIndex c = 0; c < schema.num_attributes(); ++c) {
+  for (AttrIndex c = 0; c < columns.num_attributes(); ++c) {
     ValueId v = row[static_cast<size_t>(c)];
-    fields.push_back(v == kNullValue ? "" : schema.attribute(c).label(v));
+    fields.push_back(v == kNullValue ? "" : columns.Label(c, v));
   }
   return WriteCsvRecord(fields);
 }
+
+/// What every block of one request shares, read-only.
+struct RequestScan {
+  const DecodedColumns* columns;
+  const core::Guard* guard;
+  /// nullptr: every row takes the scalar path (engine configured scalar, or
+  /// "interpreter.check" chaos armed, whose per-row trip sequence must be
+  /// replayed exactly).
+  const core::CompiledProgram* compiled;
+  core::ErrorPolicy scheme;
+};
 
 /// Vets one row with the offline Guard semantics. The verdict comes from
 /// Interpreter::CheckedCheck — the same call Guard::ProcessRow makes — so
 /// online and offline agree by construction; the repaired row (coerce /
 /// rectify) is produced by Guard::ProcessRow itself.
-RowResult ValidateOneRow(const core::Guard& guard, const Schema& schema,
-                         const Row& row, core::ErrorPolicy scheme) {
+RowResult ValidateOneRow(const RequestScan& scan, const Row& row) {
   RowResult out;
   Result<std::vector<core::Violation>> checked =
-      guard.interpreter().CheckedCheck(row);
+      scan.guard->interpreter().CheckedCheck(row);
   if (!checked.ok()) {
     out.verdict = RowVerdict::kFailed;
     out.detail = checked.status().ToString();
@@ -336,40 +58,40 @@ RowResult ValidateOneRow(const core::Guard& guard, const Schema& schema,
   out.verdict = RowVerdict::kViolation;
   out.violations = static_cast<uint16_t>(
       checked->size() > 0xFFFF ? 0xFFFF : checked->size());
-  if (scheme == core::ErrorPolicy::kCoerce ||
-      scheme == core::ErrorPolicy::kRectify) {
-    Result<Row> processed = guard.ProcessRow(row, scheme);
+  if (scan.scheme == core::ErrorPolicy::kCoerce ||
+      scan.scheme == core::ErrorPolicy::kRectify) {
+    Result<Row> processed = scan.guard->ProcessRow(row, scan.scheme);
     if (!processed.ok()) {
       out.verdict = RowVerdict::kFailed;
       out.detail = processed.status().ToString();
       return out;
     }
-    if (!(*processed == row)) out.detail = RowToCsvRecord(schema, *processed);
+    if (!(*processed == row)) {
+      out.detail = RowToCsvRecord(*scan.columns, *processed);
+    }
   }
   return out;
 }
 
-/// Vets rows [begin, begin + count) through the snapshot's compiled batch
-/// evaluator, writing results into out[0..count). Clean rows (the vast
-/// majority) are never materialized or touched beyond the columnar scan;
-/// violating rows replicate ValidateOneRow's verdict bytes and guard
-/// counters; rows the evaluator routes to fallback (narrow rows) go through
-/// ValidateOneRow itself so their error text is identical.
-void ValidateRowBlock(const core::CompiledProgram& compiled,
-                      const core::Guard& guard, const Schema& schema,
-                      const std::vector<Row>& rows, int64_t begin,
-                      int64_t count, core::ErrorPolicy scheme,
-                      RowResult* out) {
+/// Vets rows [begin, begin + count), writing results into out[0..count).
+/// The compiled evaluator reads the block's decoded columns in place; clean
+/// rows (the vast majority) are never materialized. Violating rows
+/// replicate ValidateOneRow's verdict bytes and guard counters; rows the
+/// evaluator routes to fallback, and every row without a compiled program,
+/// go through ValidateOneRow itself so their bytes are the oracle's.
+void ValidateBlock(const RequestScan& scan, int64_t begin, int64_t count,
+                   RowResult* out) {
   core::BatchVerdict verdict;
-  compiled.EvaluateRows(rows, static_cast<size_t>(begin),
-                        static_cast<size_t>(count), &verdict);
-  if (!verdict.any_violation && !verdict.any_fallback) return;  // All kOk.
-  const bool repairing = scheme == core::ErrorPolicy::kCoerce ||
-                         scheme == core::ErrorPolicy::kRectify;
+  if (scan.compiled != nullptr) {
+    scan.compiled->Evaluate(scan.columns->View(begin, count), &verdict);
+    if (!verdict.any_violation && !verdict.any_fallback) return;  // All kOk.
+  }
+  const bool repairing = scan.scheme == core::ErrorPolicy::kCoerce ||
+                         scan.scheme == core::ErrorPolicy::kRectify;
   for (int64_t r = 0; r < count; ++r) {
-    if (verdict.any_fallback && rowmask::Test(verdict.fallback, r)) {
-      out[r] = ValidateOneRow(guard, schema,
-                              rows[static_cast<size_t>(begin + r)], scheme);
+    if (scan.compiled == nullptr ||
+        (verdict.any_fallback && rowmask::Test(verdict.fallback, r))) {
+      out[r] = ValidateOneRow(scan, scan.columns->MaterializeRow(begin + r));
       continue;
     }
     int32_t nviol = verdict.ViolationCount(r);
@@ -383,9 +105,9 @@ void ValidateRowBlock(const core::CompiledProgram& compiled,
     GUARDRAIL_COUNTER_INC("guard.rows_checked");
     GUARDRAIL_HISTOGRAM_RECORD("guard.violations_per_row",
                                static_cast<int64_t>(nviol));
-    const Row& original = rows[static_cast<size_t>(begin + r)];
+    const Row original = scan.columns->MaterializeRow(begin + r);
     Row repaired = original;
-    if (scheme == core::ErrorPolicy::kCoerce) {
+    if (scan.scheme == core::ErrorPolicy::kCoerce) {
       GUARDRAIL_COUNTER_INC("guard.rows_coerced");
       for (const core::Violation* v = verdict.ViolationsBegin(r);
            v != verdict.ViolationsEnd(r); ++v) {
@@ -395,26 +117,16 @@ void ValidateRowBlock(const core::CompiledProgram& compiled,
       GUARDRAIL_COUNTER_INC("guard.rows_rectified");
       for (const core::Violation* v = verdict.ViolationsBegin(r);
            v != verdict.ViolationsEnd(r); ++v) {
-        core::ApplyRectifyRepair(*guard.program(), *v, &repaired);
+        core::ApplyRectifyRepair(*scan.guard->program(), *v, &repaired);
       }
     }
-    if (!(repaired == original)) res.detail = RowToCsvRecord(schema, repaired);
+    if (!(repaired == original)) {
+      res.detail = RowToCsvRecord(*scan.columns, repaired);
+    }
   }
 }
 
 }  // namespace
-
-Result<std::vector<Row>> DecodeRows(RowFormat format,
-                                    const std::string& payload,
-                                    Schema* schema, int64_t max_rows) {
-  switch (format) {
-    case RowFormat::kCsv:
-      return DecodeCsvRows(payload, schema, max_rows);
-    case RowFormat::kJson:
-      return DecodeJsonRows(payload, schema, max_rows);
-  }
-  return Status::InvalidArgument("unknown row format");
-}
 
 bool ResponseDedupWindow::Lookup(uint64_t request_id, uint64_t live_version,
                                  ValidateResponse* out) const {
@@ -529,13 +241,13 @@ ValidateResponse ValidationEngine::HandleAdmitted(
   }
   response.program_version = snapshot->version;
 
-  // Unseen request labels get fresh codes in a request-private schema copy;
-  // the snapshot's schema (and the codes the program references) never
-  // change after publication.
-  Schema working = snapshot->schema;
-  Result<std::vector<Row>> rows = DecodeRows(
-      request.format, request.payload, &working, options_.max_batch_rows);
-  if (!rows.ok()) return fail(rows.status());
+  // Labels are resolved against the snapshot's schema, which never changes
+  // after publication; unseen ones get request-local overlay codes past
+  // each domain, which no compiled branch fires on.
+  Result<DecodedColumns> columns = DecodeColumns(
+      request.format, request.payload, snapshot->schema,
+      options_.max_batch_rows);
+  if (!columns.ok()) return fail(columns.status());
 
   uint32_t deadline_ms = request.deadline_ms != 0
                              ? request.deadline_ms
@@ -553,69 +265,40 @@ ValidateResponse ValidationEngine::HandleAdmitted(
               !FailpointRegistry::Instance().IsArmed("interpreter.check")
           ? snapshot->compiled.get()
           : nullptr;
-  const int64_t n = static_cast<int64_t>(rows->size());
+  const RequestScan request_scan{&*columns, &guard, compiled, request.scheme};
+  const int64_t n = columns->num_rows();
   span.AddArg("rows", n);
   response.rows.resize(static_cast<size_t>(n));
 
-  Status scan = Status::OK();
-  ThreadPool& pool = ThreadPool::Shared();
-  if (n >= options_.parallel_batch_threshold && pool.num_workers() > 0) {
-    // The PR-3 sharded row scan: contiguous shards over the shared pool,
-    // each body writing only its own row slots, so the result is identical
-    // to the serial loop for any thread count.
-    const int64_t per_shard = options_.rows_per_shard < 1
-                                  ? 1
-                                  : options_.rows_per_shard;
-    const int64_t num_shards = (n + per_shard - 1) / per_shard;
-    ParallelForOptions pf;
-    pf.cancel = &cancel;
-    scan = ParallelFor(
-        &pool, num_shards,
-        [&](int64_t shard) {
-          const int64_t begin = shard * per_shard;
-          const int64_t end = begin + per_shard < n ? begin + per_shard : n;
-          if (compiled != nullptr) {
-            ValidateRowBlock(*compiled, guard, working, *rows, begin,
-                             end - begin, request.scheme,
-                             response.rows.data() + begin);
-            return;
-          }
-          for (int64_t r = begin; r < end; ++r) {
-            response.rows[static_cast<size_t>(r)] = ValidateOneRow(
-                guard, working, (*rows)[static_cast<size_t>(r)],
-                request.scheme);
-          }
-        },
-        pf);
-  } else if (compiled != nullptr) {
-    // Inline batch path: blocks of shard size, deadline checked between
-    // blocks (a block is far cheaper than 64 scalar rows ever were).
-    const int64_t per_block =
-        options_.rows_per_shard < 1 ? 1 : options_.rows_per_shard;
-    for (int64_t begin = 0; begin < n; begin += per_block) {
-      if (cancel.Cancelled()) {
-        scan = cancel.CheckTimeout("serve.validate");
-        break;
-      }
-      const int64_t count = begin + per_block < n ? per_block : n - begin;
-      ValidateRowBlock(*compiled, guard, working, *rows, begin, count,
-                       request.scheme, response.rows.data() + begin);
-    }
-  } else {
-    DeadlineChecker checker(&cancel, /*stride=*/64);
-    for (int64_t r = 0; r < n; ++r) {
-      if (checker.Expired()) {
-        scan = cancel.CheckTimeout("serve.validate");
-        break;
-      }
-      response.rows[static_cast<size_t>(r)] = ValidateOneRow(
-          guard, working, (*rows)[static_cast<size_t>(r)], request.scheme);
-    }
-  }
-  if (!scan.ok()) {
+  // One block loop. Batches of at least parallel_batch_threshold rows spread
+  // their blocks over the shared pool (the sharded row scan of
+  // docs/PARALLELISM.md: each block writes only its own row slots, so the
+  // result is identical for any thread count); smaller ones run every block
+  // inline on the request thread. The deadline is checked before each
+  // block.
+  const int64_t per_block =
+      options_.rows_per_shard < 1 ? 1 : options_.rows_per_shard;
+  ParallelForOptions pf;
+  if (n < options_.parallel_batch_threshold) pf.max_parallelism = 1;
+  std::atomic<bool> expired{false};
+  // Expiry is tracked here rather than through ParallelForOptions::cancel so
+  // the timeout names this stage on every path; ParallelFor returns OK.
+  (void)ParallelFor(
+      &ThreadPool::Shared(), (n + per_block - 1) / per_block,
+      [&](int64_t block) {
+        if (expired.load(std::memory_order_relaxed) || cancel.Cancelled()) {
+          expired.store(true, std::memory_order_relaxed);
+          return;
+        }
+        const int64_t begin = block * per_block;
+        ValidateBlock(request_scan, begin, std::min(per_block, n - begin),
+                      response.rows.data() + begin);
+      },
+      pf);
+  if (expired.load(std::memory_order_relaxed)) {
     GUARDRAIL_COUNTER_INC("serve.deadline_expired");
     telemetry::InstantEvent("serve.deadline_expired");
-    return fail(scan);
+    return fail(cancel.CheckTimeout("serve.validate"));
   }
 
   int64_t flagged = 0;

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/status.h"
+#include "serve/decode.h"  // DecodeRows, for callers of the engine.
 #include "serve/protocol.h"
 #include "serve/registry.h"
 
@@ -111,8 +112,9 @@ class ResponseDedupWindow {
 };
 
 /// The serving request engine: resolves a dataset's current program
-/// snapshot, decodes the request's rows, and vets each row with the offline
-/// `core::Guard` semantics under the requested enforcement scheme.
+/// snapshot, decodes the request's rows into columns (serve/decode.h), and
+/// vets each row with the offline `core::Guard` semantics under the
+/// requested enforcement scheme.
 ///
 /// Contract: Handle never fails at the transport level. Every outcome —
 /// including overload, unknown datasets, malformed payloads, injected
@@ -144,13 +146,6 @@ class ValidationEngine {
   AdmissionController admission_;
   ResponseDedupWindow dedup_;
 };
-
-/// Decodes request rows (labels, per RowFormat) into dictionary-coded rows
-/// under `schema`, extending attribute domains for unseen labels exactly as
-/// the offline CSV path does. Exposed for tests.
-Result<std::vector<Row>> DecodeRows(RowFormat format,
-                                    const std::string& payload,
-                                    Schema* schema, int64_t max_rows);
 
 }  // namespace serve
 }  // namespace guardrail

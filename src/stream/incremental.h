@@ -117,7 +117,8 @@ class IncrementalSynthesizer {
   const std::string& certificate_text() const { return certificate_text_; }
   const Schema& schema() const { return data_.schema(); }
   /// Mutable schema for wire-side label decoding (serve::DecodeRows extends
-  /// domains for unseen labels, exactly like the offline CSV path).
+  /// domains with an accepted batch's unseen labels, exactly like the
+  /// offline CSV path; a rejected batch leaves them unchanged).
   Schema& mutable_schema() { return data_.mutable_schema(); }
   const Table& data() const { return data_; }
   const StatsStore& baseline() const { return baseline_; }

@@ -1,6 +1,7 @@
 #include "table/column_batch.h"
 
 #include <bit>
+#include <utility>
 
 namespace guardrail {
 
@@ -31,14 +32,20 @@ int64_t NextSet(const std::vector<uint64_t>& mask, int64_t from, int64_t rows) {
 
 ColumnBatch ColumnBatch::FromTable(const Table& table, RowIndex begin,
                                    int64_t count) {
-  ColumnBatch batch;
-  batch.num_rows_ = count;
-  batch.width_ = table.num_columns();
-  batch.views_.resize(static_cast<size_t>(batch.width_));
-  for (AttrIndex c = 0; c < batch.width_; ++c) {
-    batch.views_[static_cast<size_t>(c)] =
+  std::vector<const ValueId*> columns(static_cast<size_t>(table.num_columns()));
+  for (AttrIndex c = 0; c < table.num_columns(); ++c) {
+    columns[static_cast<size_t>(c)] =
         table.column(c).data() + static_cast<size_t>(begin);
   }
+  return FromColumns(std::move(columns), count);
+}
+
+ColumnBatch ColumnBatch::FromColumns(std::vector<const ValueId*> columns,
+                                     int64_t count) {
+  ColumnBatch batch;
+  batch.num_rows_ = count;
+  batch.width_ = static_cast<int32_t>(columns.size());
+  batch.views_ = std::move(columns);
   return batch;
 }
 

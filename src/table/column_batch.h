@@ -37,17 +37,19 @@ int64_t NextSet(const std::vector<uint64_t>& mask, int64_t from, int64_t rows);
 }  // namespace rowmask
 
 /// A columnar view (or transposed copy) of a block of rows, the unit the
-/// compiled guard engine (core/batch_eval.h) evaluates. Two sources:
+/// compiled guard engine (core/batch_eval.h) evaluates. Three sources:
 ///
 ///  - FromTable: zero-copy pointers into a Table's dictionary-coded column
 ///    vectors — the offline Guard and the SQL executor batch scanned chunks
 ///    this way without materializing a single Row.
-///  - FromRows: a transpose of already-materialized rows (a serve request's
-///    decoded block), gathering only the attributes the compiled program
-///    references. Rows narrower than `width` are recorded in narrow() — the
-///    compiled path must hand those to the scalar interpreter fallback —
-///    and their missing cells read as kNullValue so vectorized passes never
-///    touch out-of-bounds memory.
+///  - FromColumns: zero-copy pointers into caller-owned code columns — the
+///    serve engine evaluates a request's decoded columns (serve/decode.h)
+///    in place this way.
+///  - FromRows: a transpose of already-materialized rows, gathering only
+///    the attributes the compiled program references. Rows narrower than
+///    `width` are recorded in narrow() — the compiled path must hand those
+///    to the scalar interpreter fallback — and their missing cells read as
+///    kNullValue so vectorized passes never touch out-of-bounds memory.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -55,6 +57,12 @@ class ColumnBatch {
   /// Zero-copy view of table rows [begin, begin + count).
   static ColumnBatch FromTable(const Table& table, RowIndex begin,
                                int64_t count);
+
+  /// Zero-copy view of `count` rows: columns[a] points at attribute a's
+  /// code for the first row, or is nullptr when the caller does not carry
+  /// attribute a. Width is columns.size(); no row is narrow.
+  static ColumnBatch FromColumns(std::vector<const ValueId*> columns,
+                                 int64_t count);
 
   /// Transposes rows [begin, begin + count) of `rows` into owned columns,
   /// materializing only `attrs` (each < width). A row with fewer than

@@ -437,6 +437,190 @@ TEST(CsvTest, AcceptsEdgeCasesThatAreWellFormed) {
   EXPECT_EQ(doc->rows[0][1], "line1\nline2");
 }
 
+// The field cap is checked before each byte that would extend, close or
+// end a field: an unquoted field of exactly kMaxCsvFieldBytes is accepted
+// only when the input ends right after it.
+TEST(CsvTest, FieldCapBoundaries) {
+  const std::string full(kMaxCsvFieldBytes, 'x');
+  auto at_end = ParseCsv("a\n" + full);
+  ASSERT_TRUE(at_end.ok()) << at_end.status().ToString();
+  ASSERT_EQ(at_end->rows.size(), 1u);
+  EXPECT_EQ(at_end->rows[0][0].size(), kMaxCsvFieldBytes);
+
+  auto separated = ParseCsv("a,b\n" + full + ",y\n");
+  ASSERT_FALSE(separated.ok());
+  EXPECT_EQ(separated.status().ToString(),
+            "Invalid argument: CSV field exceeds 1048576 bytes at row 2, "
+            "column 1");
+}
+
+TEST(CsvTest, QuotedFieldFaultsCarryExactContext) {
+  auto nul = ParseCsv(std::string("a,b\n1,\"x\0y\"\n", 12));
+  ASSERT_FALSE(nul.ok());
+  EXPECT_EQ(nul.status().ToString(),
+            "Invalid argument: CSV contains a NUL byte at row 2, column 2");
+
+  auto trailing = ParseCsv("a,b\n\"x\"y,2\n");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().ToString(),
+            "Invalid argument: characters after closing quote in CSV field "
+            "at row 2, column 1");
+}
+
+// ScanCsv hands unquoted and escape-free quoted fields to the sink as views
+// into the scanned text; only "" escapes need the scanner's scratch buffer.
+TEST(CsvTest, ScanCsvPassesViewsIntoTheText) {
+  struct Sink : CsvSink {
+    std::vector<std::string_view> fields;
+    std::vector<std::string> copies;
+    int records = 0;
+    void Field(std::string_view value) override {
+      fields.push_back(value);
+      copies.emplace_back(value);
+    }
+    void EndRecord() override { ++records; }
+  } sink;
+  const std::string text = "a,b\r\n\r\nxy,\"q,r\"\n\"he \"\"hi\"\"\",\n";
+  ASSERT_TRUE(ScanCsv(text, &sink).ok());
+  EXPECT_EQ(sink.records, 3);
+  EXPECT_EQ(sink.copies, (std::vector<std::string>{"a", "b", "xy", "q,r",
+                                                   "he \"hi\"", ""}));
+  auto inside = [&](std::string_view v) {
+    return v.data() >= text.data() && v.data() + v.size() <= text.data() +
+                                                                 text.size();
+  };
+  EXPECT_TRUE(inside(sink.fields[2]));
+  EXPECT_TRUE(inside(sink.fields[3]));
+}
+
+// The character-at-a-time grammar ParseCsv had before it became a ScanCsv
+// sink, kept verbatim as the oracle for the differential test below.
+Result<CsvDocument> SeedParseCsv(std::string_view text) {
+  CsvDocument doc;
+  std::vector<std::string> record;
+  std::string field;
+  bool in_quotes = false;
+  bool field_was_quoted = false;
+  bool record_has_content = false;
+  size_t row = 1;
+  size_t column = 1;
+  auto at = [&] {
+    return "row " + std::to_string(row) + ", column " + std::to_string(column);
+  };
+  auto end_field = [&]() {
+    record.push_back(std::move(field));
+    field.clear();
+    field_was_quoted = false;
+    ++column;
+  };
+  auto end_record = [&]() -> Status {
+    end_field();
+    if (doc.header.empty() && doc.rows.empty()) {
+      doc.header = std::move(record);
+    } else {
+      if (record.size() != doc.header.size()) {
+        return Status::InvalidArgument(
+            "CSV row has " + std::to_string(record.size()) +
+            " field(s) but the header has " +
+            std::to_string(doc.header.size()) + " (row " + std::to_string(row) +
+            ")");
+      }
+      doc.rows.push_back(std::move(record));
+    }
+    record.clear();
+    record_has_content = false;
+    ++row;
+    column = 1;
+    return Status::OK();
+  };
+  for (size_t i = 0; i < text.size(); ++i) {
+    char c = text[i];
+    if (c == '\0') {
+      return Status::InvalidArgument("CSV contains a NUL byte at " + at());
+    }
+    if (field.size() >= kMaxCsvFieldBytes) {
+      return Status::InvalidArgument("CSV field exceeds " +
+                                     std::to_string(kMaxCsvFieldBytes) +
+                                     " bytes at " + at());
+    }
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += c;
+      }
+    } else if (c == '"') {
+      if (!field.empty() || field_was_quoted) {
+        return Status::InvalidArgument(
+            "misplaced quote inside unquoted CSV field at " + at());
+      }
+      in_quotes = true;
+      field_was_quoted = true;
+      record_has_content = true;
+    } else if (c == ',') {
+      end_field();
+      record_has_content = true;
+    } else if (c == '\n' || c == '\r') {
+      if (c == '\r' && i + 1 < text.size() && text[i + 1] == '\n') ++i;
+      if (record_has_content || !field.empty() || !record.empty()) {
+        GUARDRAIL_RETURN_NOT_OK(end_record());
+      }
+    } else {
+      if (field_was_quoted) {
+        return Status::InvalidArgument(
+            "characters after closing quote in CSV field at " + at());
+      }
+      field += c;
+      record_has_content = true;
+    }
+  }
+  if (in_quotes) {
+    return Status::InvalidArgument("unterminated quoted CSV field at " + at());
+  }
+  if (record_has_content || !field.empty() || !record.empty()) {
+    GUARDRAIL_RETURN_NOT_OK(end_record());
+  }
+  if (doc.header.empty()) return Status::InvalidArgument("empty CSV input");
+  return doc;
+}
+
+// Random texts over the grammar's alphabet (and ordinary bytes, in runs long
+// enough to cross the scanner's 8-byte steps) hit every accept path and
+// every fault class; ParseCsv must agree with the seed grammar on each:
+// same document, or the same error text.
+TEST(CsvTest, ParseCsvMatchesSeedGrammarOnRandomText) {
+  const std::string alphabet[] = {"a", "bc", "defghijkl", ",", "\"", "\"\"",
+                                  "\n", "\r", "\r\n", std::string(1, '\0')};
+  Rng rng(20261017);
+  int accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string text;
+    const uint64_t pieces = rng.NextUint64(24);
+    for (uint64_t p = 0; p < pieces; ++p) {
+      // Mostly ordinary text, so a fair share of documents are well-formed.
+      uint64_t pick = rng.NextUint64(20);
+      text += alphabet[pick < 10 ? pick % 4 : pick - 10];
+    }
+    Result<CsvDocument> got = ParseCsv(text);
+    Result<CsvDocument> want = SeedParseCsv(text);
+    ASSERT_EQ(got.ok(), want.ok()) << testing::PrintToString(text);
+    if (!want.ok()) {
+      ASSERT_EQ(got.status().ToString(), want.status().ToString())
+          << testing::PrintToString(text);
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(got->header, want->header) << testing::PrintToString(text);
+    ASSERT_EQ(got->rows, want->rows) << testing::PrintToString(text);
+  }
+  EXPECT_GT(accepted, 1000);
+}
+
 TEST(CsvTest, WriteReadRoundTrip) {
   CsvDocument doc;
   doc.header = {"name", "note"};

@@ -4,16 +4,19 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/telemetry/telemetry.h"
 #include "core/guard.h"
 #include "core/serialization.h"
 #include "serve/client.h"
+#include "serve/decode.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -648,6 +651,611 @@ TEST(EngineTest, ExpiredDeadlineAnswersTimeout) {
   }
 }
 
+// ---- Decode: columnar decoder vs the row decoder it replaced -------------
+
+// The request decoder the engine used before it decoded into columns, kept
+// verbatim as the differential oracle: a ParseCsv document (or the JSON
+// reader's cell lists) resolved row by row with GetOrInsert on a schema
+// copy.
+class SeedJsonRowsParser {
+ public:
+  using Cells = std::vector<std::pair<AttrIndex, std::optional<std::string>>>;
+
+  explicit SeedJsonRowsParser(std::string_view text) : text_(text) {}
+
+  Status Parse(const Schema& schema, std::vector<Cells>* rows) {
+    SkipWs();
+    GUARDRAIL_RETURN_NOT_OK(Expect('['));
+    SkipWs();
+    if (Peek() == ']') {
+      ++pos_;
+      return ExpectEnd();
+    }
+    while (true) {
+      rows->emplace_back();
+      GUARDRAIL_RETURN_NOT_OK(ParseObject(schema, &rows->back()));
+      SkipWs();
+      if (Peek() == ',') {
+        ++pos_;
+        SkipWs();
+        continue;
+      }
+      GUARDRAIL_RETURN_NOT_OK(Expect(']'));
+      return ExpectEnd();
+    }
+  }
+
+ private:
+  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+  void SkipWs() {
+    while (pos_ < text_.size()) {
+      char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      ++pos_;
+    }
+  }
+  Status Fail(const std::string& what) const {
+    return Status::InvalidArgument("JSON rows: " + what + " at byte " +
+                                   std::to_string(pos_));
+  }
+  Status Expect(char c) {
+    if (Peek() != c) return Fail(std::string("expected '") + c + "'");
+    ++pos_;
+    return Status::OK();
+  }
+  Status ExpectEnd() {
+    SkipWs();
+    if (pos_ != text_.size()) return Fail("trailing content");
+    return Status::OK();
+  }
+  Status ParseObject(const Schema& schema, Cells* row) {
+    SkipWs();
+    GUARDRAIL_RETURN_NOT_OK(Expect('{'));
+    SkipWs();
+    if (Peek() == '}') {
+      ++pos_;
+      return Status::OK();
+    }
+    while (true) {
+      SkipWs();
+      std::string key;
+      GUARDRAIL_RETURN_NOT_OK(ParseString(&key));
+      AttrIndex attr = schema.FindAttribute(key);
+      if (attr < 0) return Fail("unknown attribute '" + key + "'");
+      SkipWs();
+      GUARDRAIL_RETURN_NOT_OK(Expect(':'));
+      SkipWs();
+      if (Peek() == 'n') {
+        if (text_.substr(pos_, 4) != "null") return Fail("expected 'null'");
+        pos_ += 4;
+        row->emplace_back(attr, std::nullopt);
+      } else {
+        std::string value;
+        GUARDRAIL_RETURN_NOT_OK(ParseString(&value));
+        row->emplace_back(attr, std::move(value));
+      }
+      SkipWs();
+      if (Peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      return Expect('}');
+    }
+  }
+  Status ParseString(std::string* out) {
+    GUARDRAIL_RETURN_NOT_OK(Expect('"'));
+    out->clear();
+    while (true) {
+      if (pos_ >= text_.size()) return Fail("unterminated string");
+      char c = text_[pos_++];
+      if (c == '"') return Status::OK();
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return Fail("unterminated escape");
+      char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+        case '\\':
+        case '/':
+          out->push_back(esc);
+          break;
+        case 'b':
+          out->push_back('\b');
+          break;
+        case 'f':
+          out->push_back('\f');
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'u': {
+          uint32_t code = 0;
+          GUARDRAIL_RETURN_NOT_OK(ParseHex4(&code));
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            if (text_.substr(pos_, 2) != "\\u") {
+              return Fail("lone high surrogate");
+            }
+            pos_ += 2;
+            uint32_t low = 0;
+            GUARDRAIL_RETURN_NOT_OK(ParseHex4(&low));
+            if (low < 0xDC00 || low > 0xDFFF) {
+              return Fail("invalid low surrogate");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          } else if (code >= 0xDC00 && code <= 0xDFFF) {
+            return Fail("lone low surrogate");
+          }
+          AppendUtf8(code, out);
+          break;
+        }
+        default:
+          return Fail("invalid escape");
+      }
+    }
+  }
+  Status ParseHex4(uint32_t* out) {
+    if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      char c = text_[pos_ + static_cast<size_t>(i)];
+      v <<= 4;
+      if (c >= '0' && c <= '9') {
+        v |= static_cast<uint32_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        v |= static_cast<uint32_t>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        v |= static_cast<uint32_t>(c - 'A' + 10);
+      } else {
+        return Fail("invalid \\u escape");
+      }
+    }
+    pos_ += 4;
+    *out = v;
+    return Status::OK();
+  }
+  static void AppendUtf8(uint32_t code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else if (code < 0x10000) {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+Result<std::vector<Row>> SeedDecodeRows(RowFormat format,
+                                        const std::string& payload,
+                                        Schema* schema, int64_t max_rows) {
+  auto cap = [&](size_t rows) {
+    return Status::InvalidArgument(
+        "batch of " + std::to_string(rows) +
+        " row(s) exceeds the per-request cap of " + std::to_string(max_rows));
+  };
+  const int32_t width = schema->num_attributes();
+  std::vector<Row> rows;
+  if (format == RowFormat::kCsv) {
+    GUARDRAIL_ASSIGN_OR_RETURN(CsvDocument doc, ParseCsv(payload));
+    if (static_cast<int64_t>(doc.rows.size()) > max_rows) {
+      return cap(doc.rows.size());
+    }
+    if (static_cast<int32_t>(doc.header.size()) != width) {
+      return Status::InvalidArgument(
+          "CSV header has " + std::to_string(doc.header.size()) +
+          " column(s), dataset schema has " + std::to_string(width));
+    }
+    for (AttrIndex c = 0; c < width; ++c) {
+      if (doc.header[static_cast<size_t>(c)] != schema->attribute(c).name()) {
+        return Status::InvalidArgument(
+            "CSV header column " + std::to_string(c + 1) + " is '" +
+            doc.header[static_cast<size_t>(c)] + "', expected '" +
+            schema->attribute(c).name() + "'");
+      }
+    }
+    for (const auto& record : doc.rows) {
+      Row row(static_cast<size_t>(width), kNullValue);
+      for (AttrIndex c = 0; c < width; ++c) {
+        row[static_cast<size_t>(c)] =
+            schema->attribute(c).GetOrInsert(record[static_cast<size_t>(c)]);
+      }
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+  std::vector<SeedJsonRowsParser::Cells> parsed;
+  GUARDRAIL_RETURN_NOT_OK(SeedJsonRowsParser(payload).Parse(*schema, &parsed));
+  if (static_cast<int64_t>(parsed.size()) > max_rows) return cap(parsed.size());
+  for (size_t r = 0; r < parsed.size(); ++r) {
+    Row row(static_cast<size_t>(width), kNullValue);
+    std::vector<bool> seen(row.size(), false);
+    for (auto& [attr, label] : parsed[r]) {
+      if (seen[static_cast<size_t>(attr)]) {
+        return Status::InvalidArgument(
+            "JSON row " + std::to_string(r + 1) + " repeats attribute '" +
+            schema->attribute(attr).name() + "'");
+      }
+      seen[static_cast<size_t>(attr)] = true;
+      if (label.has_value()) {
+        row[static_cast<size_t>(attr)] =
+            schema->attribute(attr).GetOrInsert(*label);
+      }
+    }
+    for (AttrIndex c = 0; c < width; ++c) {
+      if (!seen[static_cast<size_t>(c)]) {
+        return Status::InvalidArgument(
+            "JSON row " + std::to_string(r + 1) + " is missing attribute '" +
+            schema->attribute(c).name() + "' (use null for a missing cell)");
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// Three attributes whose base domains include labels that need CSV quoting
+// or JSON escaping.
+Schema DecodeTestSchema() {
+  Attribute a("a");
+  Attribute b("b");
+  Attribute c("c");
+  for (const char* label : {"a0", "a1", "x,y"}) a.GetOrInsert(label);
+  for (const char* label : {"b0", "", "q\"t"}) b.GetOrInsert(label);
+  for (const char* label : {"c0", "long label past eight bytes", "l\nb"}) {
+    c.GetOrInsert(label);
+  }
+  return Schema({a, b, c});
+}
+
+// A random label for attribute `attr`: one the base knows, or an unseen one
+// (some of which also need quoting, or cross the 8-byte scan steps).
+std::string RandomLabel(const Schema& schema, AttrIndex attr, Rng* rng) {
+  static const char* const kUnseen[] = {
+      "fresh", "", "n,1", "m\"2", "o\n3", "p\r\n4", "unseen label, long",
+      "\xc3\xa9t\xc3\xa9", "f0", "f1", "f2"};
+  if (rng->NextUint64(2) == 0) {
+    const auto& domain = schema.attribute(attr).domain();
+    return domain[rng->NextUint64(domain.size())];
+  }
+  return kUnseen[rng->NextUint64(std::size(kUnseen))];
+}
+
+std::string CsvField(const std::string& label, Rng* rng) {
+  if (label.find_first_of(",\"\r\n") == std::string::npos &&
+      rng->NextUint64(4) != 0) {
+    return label;
+  }
+  std::string out = "\"";
+  for (char ch : label) out += ch == '"' ? std::string("\"\"") : std::string(1, ch);
+  return out + "\"";
+}
+
+// A CSV payload with every accept path (quoted fields, "" escapes, CRLF,
+// blank lines, empty fields, unseen labels) and, sometimes, one or more
+// faults of each class: header mismatch, ragged row, NUL byte, unterminated
+// or misplaced quote, characters after a closing quote, overlong field.
+std::string RandomCsvPayload(const Schema& schema, Rng* rng) {
+  auto chance = [&](uint64_t one_in) { return rng->NextUint64(one_in) == 0; };
+  auto eol = [&]() -> std::string { return chance(3) ? "\r\n" : "\n"; };
+  const size_t width = static_cast<size_t>(schema.num_attributes());
+  std::vector<std::string> header = schema.AttributeNames();
+  if (chance(12)) std::swap(header[0], header[1]);
+  size_t fields = width;
+  if (chance(16)) fields = width - 1;
+  if (chance(16)) fields = width + 1;
+  std::string text;
+  for (size_t c = 0; c < fields; ++c) {
+    if (c > 0) text += ',';
+    text += c < header.size() ? CsvField(header[c], rng) : "extra";
+  }
+  const uint64_t rows = rng->NextUint64(9);
+  for (uint64_t r = 0; r < rows; ++r) {
+    text += eol();
+    if (chance(6)) text += eol();  // Blank line.
+    size_t row_fields = fields;
+    if (chance(20)) row_fields = chance(2) ? fields + 1 : fields - 1;
+    for (size_t c = 0; c < row_fields; ++c) {
+      if (c > 0) text += ',';
+      AttrIndex attr = static_cast<AttrIndex>(c % width);
+      std::string field = CsvField(RandomLabel(schema, attr, rng), rng);
+      if (chance(40)) field = "ab\"c";
+      if (chance(40)) field = "\"ab\"c";
+      if (chance(1500)) field = std::string(kMaxCsvFieldBytes, 'z');
+      text += field;
+    }
+  }
+  if (chance(30)) text += eol() + "\"unterminated";
+  if (chance(30)) text.insert(rng->NextUint64(text.size() + 1), 1, '\0');
+  if (chance(2)) text += eol();
+  return text;
+}
+
+std::string JsonString(const std::string& text, Rng* rng) {
+  std::string out = "\"";
+  for (unsigned char ch : text) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += static_cast<char>(ch);
+    } else if (ch == '\n') {
+      out += "\\n";
+    } else if (ch == '\r') {
+      out += "\\r";
+    } else if (ch < 0x80 && rng->NextUint64(8) == 0) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+      out += buf;
+    } else {
+      out += static_cast<char>(ch);
+    }
+  }
+  return out + "\"";
+}
+
+// A JSON payload: objects with keys in random order and null cells, and,
+// sometimes, a missing, repeated or unknown attribute, a non-string value,
+// a stray byte, a truncation or trailing content.
+std::string RandomJsonPayload(const Schema& schema, Rng* rng) {
+  auto chance = [&](uint64_t one_in) { return rng->NextUint64(one_in) == 0; };
+  auto ws = [&]() -> std::string { return chance(4) ? " \n" : ""; };
+  std::string text = "[" + ws();
+  const uint64_t rows = rng->NextUint64(8);
+  for (uint64_t r = 0; r < rows; ++r) {
+    if (r > 0) text += "," + ws();
+    std::vector<AttrIndex> keys;
+    for (AttrIndex c = 0; c < schema.num_attributes(); ++c) keys.push_back(c);
+    rng->Shuffle(&keys);
+    if (chance(15)) keys.pop_back();
+    if (chance(15)) keys.push_back(keys.front());
+    text += "{";
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (k > 0) text += "," + ws();
+      text += JsonString(schema.attribute(keys[k]).name(), rng) + ":" + ws();
+      if (chance(6)) {
+        text += "null";
+      } else if (chance(60)) {
+        text += "42";
+      } else {
+        text += JsonString(RandomLabel(schema, keys[k], rng), rng);
+      }
+    }
+    if (chance(40)) text += ",\"zz\":\"u\"";
+    text += "}";
+  }
+  text += ws() + "]";
+  if (chance(25)) text += "x";
+  if (chance(25)) text.insert(rng->NextUint64(text.size() + 1), 1, '}');
+  if (chance(25)) text.resize(rng->NextUint64(text.size() + 1));
+  return text;
+}
+
+// Seeded differential test: on random CSV and JSON payloads the columnar
+// decoder reports the oracle's status text, the oracle's codes, and as its
+// overlay exactly the labels GetOrInsert appended to the oracle's schema
+// copy. DecodeRows agrees too, and grows its schema only on success.
+TEST(DecodeTest, ColumnsMatchSeedRowDecoder) {
+  const Schema base = DecodeTestSchema();
+  Rng rng(13);
+  int accepted = 0;
+  int unseen = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    const RowFormat format = iter % 2 == 0 ? RowFormat::kCsv : RowFormat::kJson;
+    const std::string payload = format == RowFormat::kCsv
+                                    ? RandomCsvPayload(base, &rng)
+                                    : RandomJsonPayload(base, &rng);
+    const int64_t max_rows =
+        rng.NextUint64(8) == 0 ? static_cast<int64_t>(rng.NextUint64(6)) : 64;
+    const std::string context = testing::PrintToString(payload);
+
+    Schema oracle_schema = base;
+    Result<std::vector<Row>> want =
+        SeedDecodeRows(format, payload, &oracle_schema, max_rows);
+    Result<DecodedColumns> got = DecodeColumns(format, payload, base, max_rows);
+    Schema wrapped_schema = base;
+    Result<std::vector<Row>> wrapped =
+        DecodeRows(format, payload, &wrapped_schema, max_rows);
+
+    ASSERT_EQ(got.ok(), want.ok()) << context << "\n"
+                                   << got.status().ToString() << "\n"
+                                   << want.status().ToString();
+    ASSERT_EQ(wrapped.ok(), want.ok()) << context;
+    if (!want.ok()) {
+      ASSERT_EQ(got.status().ToString(), want.status().ToString()) << context;
+      ASSERT_EQ(wrapped.status().ToString(), want.status().ToString());
+      for (AttrIndex c = 0; c < base.num_attributes(); ++c) {
+        ASSERT_EQ(wrapped_schema.attribute(c).domain(),
+                  base.attribute(c).domain())
+            << context;
+      }
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(got->num_rows(), static_cast<int64_t>(want->size())) << context;
+    for (int64_t r = 0; r < got->num_rows(); ++r) {
+      ASSERT_EQ(got->MaterializeRow(r), (*want)[static_cast<size_t>(r)])
+          << context << " row " << r;
+    }
+    ASSERT_EQ(*wrapped, *want) << context;
+    for (AttrIndex c = 0; c < base.num_attributes(); ++c) {
+      const auto& full = oracle_schema.attribute(c).domain();
+      const std::vector<std::string> minted(
+          full.begin() + base.attribute(c).domain_size(), full.end());
+      ASSERT_EQ(got->overlay(c), minted) << context;
+      ASSERT_EQ(wrapped_schema.attribute(c).domain(), full) << context;
+      unseen += static_cast<int>(minted.size());
+    }
+  }
+  // The generator must exercise both outcomes, and the overlay.
+  EXPECT_GT(accepted, 1500);
+  EXPECT_GT(unseen, 1500);
+}
+
+// The regression DecodeRows used to have: a rejected batch extended the
+// schema with the labels it had already resolved. StreamService passes a
+// stream's own schema here, so every rejection class must leave it as is.
+TEST(DecodeTest, RejectedBatchLeavesDomainsUnchanged) {
+  struct Case {
+    const char* name;
+    RowFormat format;
+    std::string payload;
+    int64_t max_rows;
+  };
+  const Case kCases[] = {
+      {"ragged row", RowFormat::kCsv, "zip,city\nfresh_z,fresh_c\n94704\n",
+       16},
+      {"NUL byte", RowFormat::kCsv,
+       std::string("zip,city\nfresh_z,fresh_c\nx\0y,z\n", 32), 16},
+      {"row cap", RowFormat::kCsv,
+       "zip,city\nfresh_z,fresh_c\nfresh_y,fresh_d\nfresh_x,fresh_e\n", 2},
+      {"header mismatch", RowFormat::kCsv, "city,zip\nfresh_c,fresh_z\n", 16},
+      {"repeated JSON attribute", RowFormat::kJson,
+       "[{\"zip\":\"fresh_z\",\"city\":\"fresh_c\",\"zip\":\"fresh_y\"}]", 16},
+      {"missing JSON attribute", RowFormat::kJson,
+       "[{\"zip\":\"fresh_a\",\"city\":\"fresh_b\"},{\"zip\":\"x\"}]", 16},
+  };
+  for (const Case& c : kCases) {
+    Schema schema = DemoSchema();
+    const int32_t zips = schema.attribute(0).domain_size();
+    const int32_t cities = schema.attribute(1).domain_size();
+    auto rows = DecodeRows(c.format, c.payload, &schema, c.max_rows);
+    ASSERT_FALSE(rows.ok()) << c.name;
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_EQ(schema.attribute(0).domain_size(), zips) << c.name;
+    EXPECT_EQ(schema.attribute(1).domain_size(), cities) << c.name;
+  }
+
+  // An accepted batch does extend the schema, with the codes its rows carry.
+  Schema schema = DemoSchema();
+  auto rows = DecodeRows(RowFormat::kJson,
+                         "[{\"zip\":\"fresh_a\",\"city\":\"fresh_b\"}]",
+                         &schema, 16);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(schema.attribute(0).label((*rows)[0][0]), "fresh_a");
+  EXPECT_EQ(schema.attribute(1).label((*rows)[0][1]), "fresh_b");
+}
+
+// ---- Engine: unseen labels ---------------------------------------------
+
+// zip -> city with a free-text note column the program never reads, so an
+// unseen note survives a rectify repair and must render verbatim.
+const char* kNotesCsv =
+    "zip,city,note\n"
+    "94704,Berkeley,n\n"
+    "94704,Berkeley,n\n"
+    "94607,Oakland,n\n"
+    "94607,Oakland,n\n";
+
+void LoadNotes(ProgramRegistry* registry) {
+  auto doc = ParseCsv(kNotesCsv);
+  ASSERT_TRUE(doc.ok());
+  auto table = Table::FromCsv(*doc);
+  ASSERT_TRUE(table.ok());
+  auto version = registry->LoadFromText("notes", kProgramText, table->schema());
+  ASSERT_TRUE(version.ok()) << version.status().ToString();
+}
+
+std::vector<int32_t> DomainSizes(const Schema& schema) {
+  std::vector<int32_t> sizes;
+  for (AttrIndex c = 0; c < schema.num_attributes(); ++c) {
+    sizes.push_back(schema.attribute(c).domain_size());
+  }
+  return sizes;
+}
+
+TEST(EngineTest, UnseenLabelsLeaveTheSnapshotSchemaUntouched) {
+  ProgramRegistry registry;
+  LoadNotes(&registry);
+  auto snapshot = registry.Get("notes");
+  const std::vector<int32_t> before = DomainSizes(snapshot->schema);
+
+  for (bool parallel : {false, true}) {
+    EngineOptions options;
+    if (parallel) {
+      options.parallel_batch_threshold = 1;
+      options.rows_per_shard = 2;
+    }
+    ValidationEngine configured(&registry, options);
+    ValidateRequest request = DemoRequest(
+        "zip,city,note\n"
+        "94704,Oakland,\"fresh, with comma\"\n"
+        "94704,Fresno,fresh\n"
+        "10001,Berkeley,other\n"
+        "94607,Oakland,fresh\n"
+        "94607,Fresno,\"q\"\"uote\"\n",
+        core::ErrorPolicy::kRectify);
+    request.dataset = "notes";
+    ValidateResponse response = configured.Handle(request);
+    ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
+    ASSERT_EQ(response.rows.size(), 5u);
+    // Overlay labels the repair keeps render verbatim (CSV-quoted as
+    // needed); an unseen label the repair replaces is gone.
+    EXPECT_EQ(response.rows[0].detail, "94704,Berkeley,\"fresh, with comma\"");
+    EXPECT_EQ(response.rows[1].detail, "94704,Berkeley,fresh");
+    EXPECT_EQ(response.rows[2].verdict, RowVerdict::kOk);  // Unseen zip.
+    EXPECT_EQ(response.rows[3].verdict, RowVerdict::kOk);
+    EXPECT_EQ(response.rows[4].detail, "94607,Oakland,\"q\"\"uote\"");
+
+    request.scheme = core::ErrorPolicy::kCoerce;
+    ValidateResponse coerced = configured.Handle(request);
+    ASSERT_EQ(coerced.code, StatusCode::kOk) << coerced.error;
+    EXPECT_EQ(coerced.rows[1].detail, "94704,,fresh");
+  }
+  EXPECT_EQ(DomainSizes(snapshot->schema), before);
+  EXPECT_EQ(DomainSizes(registry.Get("notes")->schema), before);
+}
+
+// Concurrent requests each resolve their own unseen labels: the same
+// overlay code means a different label in each request, and no request
+// sees another's.
+TEST(ServeConcurrencyTest, DisjointUnseenLabelsStayPerRequest) {
+  ProgramRegistry registry;
+  LoadNotes(&registry);
+  ValidationEngine engine(&registry, EngineOptions{});
+  const std::vector<int32_t> before =
+      DomainSizes(registry.Get("notes")->schema);
+
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const std::string tag = "t" + std::to_string(t) + "_" +
+                                std::to_string(i);
+        ValidateRequest request = DemoRequest(
+            "zip,city,note\n94704,Oakland," + tag + "_a\n94607," + tag +
+                "_city," + tag + "_b\n94704,Berkeley," + tag + "_c\n",
+            core::ErrorPolicy::kRectify);
+        request.dataset = "notes";
+        ValidateResponse response = engine.Handle(request);
+        ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
+        ASSERT_EQ(response.rows.size(), 3u);
+        EXPECT_EQ(response.rows[0].detail, "94704,Berkeley," + tag + "_a");
+        EXPECT_EQ(response.rows[1].detail, "94607,Oakland," + tag + "_b");
+        EXPECT_EQ(response.rows[2].verdict, RowVerdict::kOk);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(DomainSizes(registry.Get("notes")->schema), before);
+}
+
 // ---- Engine: admission backpressure ------------------------------------
 
 TEST(AdmissionTest, BoundedAndReleased) {
@@ -726,7 +1334,10 @@ TEST(EngineTest, InjectedFaultsAreIsolatedPerRequest) {
 // Validation requests race a loader republishing new versions. TSan (the CI
 // thread-sanitizer job runs this test) must see no torn reads, and every
 // response must report a version that was live at some point during the
-// request: >= the version observed before the call, <= the one after.
+// request: >= the version the loader had stored as published before the
+// call, <= the registry's live version after it. The upper bound comes from
+// the registry itself because LoadFromText publishes before the loader
+// thread stores `published`.
 TEST(ServeConcurrencyTest, HotReloadDoesNotTearInFlightRequests) {
   ProgramRegistry registry;
   LoadDemo(&registry);
@@ -755,7 +1366,7 @@ TEST(ServeConcurrencyTest, HotReloadDoesNotTearInFlightRequests) {
         uint64_t before = published.load(std::memory_order_acquire);
         ValidateResponse response =
             engine.Handle(DemoRequest(batch, core::ErrorPolicy::kRectify));
-        uint64_t after = published.load(std::memory_order_acquire);
+        uint64_t after = registry.Get("demo")->version;
         ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
         EXPECT_GE(response.program_version, before);
         EXPECT_LE(response.program_version, after);

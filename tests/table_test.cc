@@ -43,6 +43,32 @@ TEST(AttributeTest, LookupMissingReturnsNull) {
   EXPECT_EQ(attr.Lookup("zzz"), kNullValue);
 }
 
+// Many labels of every length (each hash tail path), the empty label, and
+// probes that are views into a larger buffer: codes stay dense across the
+// index's growth and every label, and only those, is found again.
+TEST(AttributeTest, LookupAcrossGrowthAndLabelLengths) {
+  Attribute attr("a");
+  std::vector<std::string> labels = {""};
+  for (int i = 0; i < 5000; ++i) {
+    labels.push_back(std::string(static_cast<size_t>(i % 23), 'x') +
+                     std::to_string(i));
+  }
+  for (size_t i = 0; i < labels.size(); ++i) {
+    ASSERT_EQ(attr.GetOrInsert(labels[i]), static_cast<ValueId>(i));
+  }
+  const Attribute copy = attr;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    const std::string padded = "<" + labels[i] + ">";
+    const std::string_view view(padded.data() + 1, labels[i].size());
+    ASSERT_EQ(copy.Lookup(view), static_cast<ValueId>(i)) << labels[i];
+    ASSERT_EQ(attr.GetOrInsert(view), static_cast<ValueId>(i));
+  }
+  EXPECT_EQ(attr.domain_size(), static_cast<int32_t>(labels.size()));
+  EXPECT_EQ(copy.Lookup("x"), kNullValue);
+  EXPECT_EQ(copy.Lookup("<0>"), kNullValue);
+  EXPECT_EQ(copy.Lookup(std::string_view("0\0", 2)), kNullValue);
+}
+
 // ---------------------------------------------------------------- Schema --
 
 TEST(SchemaTest, AddAndFind) {

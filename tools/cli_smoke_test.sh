@@ -155,6 +155,9 @@ fi
 mkdir "$DIR/programs"
 cp "$DIR/prog.grl" "$DIR/programs/demo.grl"
 cp "$DIR/data.csv" "$DIR/programs/demo.csv"
+# Create the log before the daemon does: the poll below may run before the
+# background shell opens it, and a failing sed would trip `set -e`.
+: > "$DIR/serve.log"
 "$BIN" serve --programs="$DIR/programs" --port=0 > "$DIR/serve.log" 2>&1 &
 SERVE_PID=$!
 PORT=""
@@ -221,6 +224,7 @@ grep -q "drained" "$DIR/serve.log"
 mkdir "$DIR/programs_min"
 cp "$DIR/min.grl" "$DIR/programs_min/mini.grl"
 cp "$DIR/data.csv" "$DIR/programs_min/mini.csv"
+: > "$DIR/serve_min.log"
 "$BIN" serve --programs="$DIR/programs_min" --port=0 --reload-ms=100 \
   > "$DIR/serve_min.log" 2>&1 &
 SERVE_PID=$!
