@@ -43,10 +43,10 @@ class FailpointRegistry {
   /// The fallible site hook: OK unless `name` is armed and fires this call.
   Status Trip(std::string_view name);
 
-  /// Whether `name` is currently armed, without drawing from its Rng. Batch
-  /// fast paths use this to route whole blocks back to the scalar path while
-  /// a point is armed, so chaos runs replay the exact per-row trip sequence.
-  /// Costs one atomic load while nothing is armed.
+  /// Whether `name` is currently armed, without drawing from its Rng. The
+  /// guard executor uses this to pick its interpreter engine while a point is
+  /// armed, so chaos runs replay the exact per-row trip sequence. Costs one
+  /// atomic load while nothing is armed.
   bool IsArmed(std::string_view name) const;
 
   /// Names currently armed (sorted) and the total number of fires so far.

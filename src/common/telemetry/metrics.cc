@@ -7,16 +7,17 @@
 namespace guardrail {
 namespace telemetry {
 
-void Histogram::Record(int64_t value) {
+void Histogram::Record(int64_t value, int64_t times) {
   int bucket = 0;
   if (value > 0) {
     // Index of the first bound >= value; values beyond the largest bound
     // land in the overflow bucket.
     while (bucket < kNumBounds && value > BucketBound(bucket)) ++bucket;
   }
-  buckets_[static_cast<size_t>(bucket)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  buckets_[static_cast<size_t>(bucket)].fetch_add(times,
+                                                  std::memory_order_relaxed);
+  count_.fetch_add(times, std::memory_order_relaxed);
+  sum_.fetch_add(value * times, std::memory_order_relaxed);
 }
 
 void Histogram::Reset() {

@@ -39,7 +39,8 @@ class Histogram {
   /// Bounds are 2^0 .. 2^(kNumBounds-1); the last bucket is the overflow.
   static constexpr int kNumBounds = 32;
 
-  void Record(int64_t value);
+  /// Records `times` samples of `value`.
+  void Record(int64_t value, int64_t times = 1);
 
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }

@@ -99,218 +99,196 @@ const CompiledProgram& Guard::compiled() const {
 }
 
 Result<Row> Guard::ProcessRow(const Row& row, ErrorPolicy policy) const {
-  // This is the serving hot path: counters only (one relaxed load + branch
-  // per macro when telemetry is off), never spans or logs per row.
-  GUARDRAIL_COUNTER_INC("guard.rows_checked");
-  GUARDRAIL_ASSIGN_OR_RETURN(std::vector<Violation> violations,
-                             interpreter_.CheckedCheck(row));
-  GUARDRAIL_HISTOGRAM_RECORD("guard.violations_per_row",
-                             static_cast<int64_t>(violations.size()));
-  if (violations.empty()) return row;
-  switch (policy) {
-    case ErrorPolicy::kRaise:
-      GUARDRAIL_COUNTER_INC("guard.rows_raised");
-      return Status::ConstraintViolation(
-          "row violates " + std::to_string(violations.size()) +
-          " integrity constraint(s)");
-    case ErrorPolicy::kIgnore:
-      return row;
-    case ErrorPolicy::kCoerce: {
-      GUARDRAIL_COUNTER_INC("guard.rows_coerced");
-      Row out = row;
-      for (const auto& v : violations) {
-        out[static_cast<size_t>(v.attribute)] = kNullValue;
-      }
-      return out;
-    }
-    case ErrorPolicy::kRectify: {
-      GUARDRAIL_COUNTER_INC("guard.rows_rectified");
-      Row out = row;
-      for (const auto& v : violations) ApplyRectifyRepair(*program_, v, &out);
-      return out;
-    }
-  }
-  return row;
-}
-
-bool Guard::UseBatch(const Table& table, GuardEvalMode mode) const {
-  if (mode == GuardEvalMode::kInterpreter) return false;
-  // A table narrower than the program's reach cannot take the batch path at
-  // all (every row needs the interpreter's width error), and an armed
-  // "interpreter.check" failpoint must see its per-row trip sequence.
-  if (static_cast<size_t>(table.num_columns()) < interpreter_.MinRowWidth()) {
-    return false;
-  }
-  if (mode == GuardEvalMode::kCompiled) return true;
-  return !FailpointRegistry::Instance().IsArmed("interpreter.check");
+  // One row, read through the interpreter engine as a one-row block.
+  std::vector<const ValueId*> cells(row.size());
+  for (size_t c = 0; c < row.size(); ++c) cells[c] = &row[c];
+  const ColumnBatch block = ColumnBatch::FromColumns(std::move(cells), 1);
+  GuardExecutor executor(*this, policy, GuardEvalMode::kInterpreter);
+  executor.Evaluate(block);
+  Row out;
+  GuardVerdict verdict = executor.Read(0, &out);
+  if (!verdict.status.ok()) return verdict.status;
+  return out;
 }
 
 GuardOutcome Guard::ProcessTable(Table* table, ErrorPolicy policy,
                                  GuardEvalMode mode) const {
-  return UseBatch(*table, mode) ? ProcessTableBatched(table, policy)
-                                : ProcessTableScalar(table, policy);
-}
-
-GuardOutcome Guard::ProcessTableScalar(Table* table,
-                                       ErrorPolicy policy) const {
-  GuardOutcome outcome;
-  outcome.flagged.assign(static_cast<size_t>(table->num_rows()), false);
-  // Table rows are uniformly schema-wide, so CheckedCheck's per-row width
-  // compare is hoisted to this single bound; narrow tables keep the old
-  // per-row CheckedCheck to preserve its error and failpoint ordering.
-  const bool wide_enough = static_cast<size_t>(table->num_columns()) >=
-                           interpreter_.MinRowWidth();
-  for (RowIndex r = 0; r < table->num_rows(); ++r) {
-    Row row = table->GetRow(r);
-    Result<std::vector<Violation>> checked =
-        wide_enough ? [&]() -> Result<std::vector<Violation>> {
-          GUARDRAIL_FAILPOINT("interpreter.check");
-          return interpreter_.Check(row);
-        }()
-                    : interpreter_.CheckedCheck(row);
-    ++outcome.rows_checked;
-    GUARDRAIL_COUNTER_INC("guard.rows_checked");
-    if (checked.ok()) {
-      GUARDRAIL_HISTOGRAM_RECORD("guard.violations_per_row",
-                                 static_cast<int64_t>(checked->size()));
-    }
-    if (!checked.ok()) {
-      ++outcome.rows_failed;
-      if (outcome.first_error.ok()) outcome.first_error = checked.status();
-      // kRaise aborts on the first problem of any kind; the lenient
-      // policies isolate the failing row and keep the batch alive.
-      if (policy == ErrorPolicy::kRaise) return outcome;
-      continue;
-    }
-    const std::vector<Violation>& violations = *checked;
-    if (violations.empty()) continue;
-    ++outcome.rows_flagged;
-    outcome.flagged[static_cast<size_t>(r)] = true;
-    switch (policy) {
-      case ErrorPolicy::kRaise:
-        GUARDRAIL_COUNTER_INC("guard.rows_raised");
-        return outcome;
-      case ErrorPolicy::kIgnore:
-        break;
-      case ErrorPolicy::kCoerce:
-        GUARDRAIL_COUNTER_INC("guard.rows_coerced");
-        for (const auto& v : violations) {
-          table->Set(r, v.attribute, kNullValue);
-          ++outcome.cells_repaired;
-        }
-        break;
-      case ErrorPolicy::kRectify: {
-        GUARDRAIL_COUNTER_INC("guard.rows_rectified");
-        for (const auto& v : violations) ApplyRectifyRepair(*program_, v, &row);
-        for (AttrIndex c = 0; c < table->num_columns(); ++c) {
-          if (table->Get(r, c) != row[static_cast<size_t>(c)]) {
-            table->Set(r, c, row[static_cast<size_t>(c)]);
-            ++outcome.cells_repaired;
-          }
-        }
-        break;
-      }
-    }
-  }
-  return outcome;
-}
-
-GuardOutcome Guard::ProcessTableBatched(Table* table,
-                                        ErrorPolicy policy) const {
-  const CompiledProgram& prog = compiled();
-  GuardOutcome outcome;
-  outcome.flagged.assign(static_cast<size_t>(table->num_rows()), false);
-  BatchVerdict verdict;
-  Row row;
-  for (RowIndex begin = 0; begin < table->num_rows();
-       begin += kGuardBatchRows) {
-    const int64_t count =
-        std::min<int64_t>(kGuardBatchRows, table->num_rows() - begin);
-    prog.EvaluateTable(*table, begin, count, &verdict);
-    // Table rows can never be narrow, so no fallback rows here;
-    // rows_failed stays 0 exactly as the scalar path would report.
-    int64_t checked = count;
-    int64_t raise_at = -1;  // Chunk-local index kRaise stops at.
-    if (policy == ErrorPolicy::kRaise && verdict.any_violation) {
-      raise_at = rowmask::NextSet(verdict.violated, 0, count);
-      checked = raise_at + 1;
-    }
-    outcome.rows_checked += checked;
-    GUARDRAIL_COUNTER_ADD("guard.rows_checked", checked);
-    if (telemetry::MetricsEnabled()) {
-      for (int64_t r = 0; r < checked; ++r) {
-        GUARDRAIL_HISTOGRAM_RECORD("guard.violations_per_row",
-                                   verdict.ViolationCount(r));
-      }
-    }
-    if (raise_at >= 0) {
-      ++outcome.rows_flagged;
-      outcome.flagged[static_cast<size_t>(begin + raise_at)] = true;
-      GUARDRAIL_COUNTER_INC("guard.rows_raised");
-      return outcome;
-    }
-    if (!verdict.any_violation) continue;
-    for (int64_t r = rowmask::NextSet(verdict.violated, 0, count); r >= 0;
-         r = rowmask::NextSet(verdict.violated, r + 1, count)) {
-      const RowIndex global = begin + r;
-      ++outcome.rows_flagged;
-      outcome.flagged[static_cast<size_t>(global)] = true;
-      switch (policy) {
-        case ErrorPolicy::kRaise:
-        case ErrorPolicy::kIgnore:
-          break;
-        case ErrorPolicy::kCoerce:
-          GUARDRAIL_COUNTER_INC("guard.rows_coerced");
-          for (const Violation* v = verdict.ViolationsBegin(r);
-               v != verdict.ViolationsEnd(r); ++v) {
-            table->Set(global, v->attribute, kNullValue);
-            ++outcome.cells_repaired;
-          }
-          break;
-        case ErrorPolicy::kRectify: {
-          GUARDRAIL_COUNTER_INC("guard.rows_rectified");
-          row = table->GetRow(global);
-          for (const Violation* v = verdict.ViolationsBegin(r);
-               v != verdict.ViolationsEnd(r); ++v) {
-            ApplyRectifyRepair(*program_, *v, &row);
-          }
-          for (AttrIndex c = 0; c < table->num_columns(); ++c) {
-            if (table->Get(global, c) != row[static_cast<size_t>(c)]) {
-              table->Set(global, c, row[static_cast<size_t>(c)]);
-              ++outcome.cells_repaired;
-            }
-          }
-          break;
-        }
-      }
-    }
-  }
-  return outcome;
+  return Scan(*table, policy, mode, table);
 }
 
 std::vector<bool> Guard::DetectViolations(const Table& table,
                                           GuardEvalMode mode) const {
-  std::vector<bool> flags(static_cast<size_t>(table.num_rows()), false);
-  if (UseBatch(table, mode)) {
-    const CompiledProgram& prog = compiled();
-    BatchVerdict verdict;
-    for (RowIndex begin = 0; begin < table.num_rows();
-         begin += kGuardBatchRows) {
-      const int64_t count =
-          std::min<int64_t>(kGuardBatchRows, table.num_rows() - begin);
-      prog.EvaluateTable(table, begin, count, &verdict);
-      if (!verdict.any_violation) continue;
-      for (int64_t r = rowmask::NextSet(verdict.violated, 0, count); r >= 0;
-           r = rowmask::NextSet(verdict.violated, r + 1, count)) {
-        flags[static_cast<size_t>(begin + r)] = true;
-      }
+  return Scan(table, ErrorPolicy::kIgnore, mode, nullptr).flagged;
+}
+
+GuardOutcome Guard::Scan(const Table& table, ErrorPolicy policy,
+                         GuardEvalMode mode, Table* repaired) const {
+  GuardOutcome outcome;
+  outcome.flagged.assign(static_cast<size_t>(table.num_rows()), false);
+  GuardExecutor executor(*this, policy, mode);
+  bool stopped = false;
+  for (RowIndex begin = 0; begin < table.num_rows() && !stopped;
+       begin += kGuardBatchRows) {
+    const int64_t count =
+        std::min<int64_t>(kGuardBatchRows, table.num_rows() - begin);
+    outcome.rows_checked += executor.Run(
+        ColumnBatch::FromTable(table, begin, count),
+        [&](int64_t r, const GuardVerdict& verdict, const Row& row) {
+          if (verdict.failed()) {
+            ++outcome.rows_failed;
+            if (outcome.first_error.ok()) outcome.first_error = verdict.status;
+            stopped = policy == ErrorPolicy::kRaise;
+            return !stopped;
+          }
+          if (verdict.violations == 0) return true;
+          const RowIndex global = begin + r;
+          ++outcome.rows_flagged;
+          outcome.flagged[static_cast<size_t>(global)] = true;
+          if (!verdict.status.ok()) {  // kRaise.
+            stopped = true;
+            return false;
+          }
+          // Coerce counts one repaired cell per violation, even when two
+          // violations name the same cell.
+          if (policy == ErrorPolicy::kCoerce) {
+            outcome.cells_repaired += verdict.violations;
+          }
+          if (!verdict.repaired || repaired == nullptr) return true;
+          for (AttrIndex c = 0; c < table.num_columns(); ++c) {
+            if (table.Get(global, c) == row[static_cast<size_t>(c)]) continue;
+            repaired->Set(global, c, row[static_cast<size_t>(c)]);
+            if (policy == ErrorPolicy::kRectify) ++outcome.cells_repaired;
+          }
+          return true;
+        });
+  }
+  return outcome;
+}
+
+GuardExecutor::GuardExecutor(const Guard& guard, ErrorPolicy policy,
+                             GuardEvalMode mode,
+                             const CompiledProgram* compiled)
+    : program_(*guard.program()),
+      interpreter_(guard.interpreter()),
+      policy_(policy),
+      compiled_(nullptr) {
+  const bool use_compiled =
+      mode == GuardEvalMode::kCompiled ||
+      (mode == GuardEvalMode::kAuto &&
+       !FailpointRegistry::Instance().IsArmed("interpreter.check"));
+  if (use_compiled) {
+    compiled_ = compiled != nullptr ? compiled : &guard.compiled();
+  }
+}
+
+void GuardExecutor::Evaluate(const ColumnBatch& block) {
+  Flush();
+  block_ = &block;
+  // A block narrower than the program's reach would come back all fallback
+  // rows; the interpreter judges those directly.
+  block_compiled_ =
+      compiled_ != nullptr &&
+      static_cast<size_t>(block.width()) >= compiled_->min_row_width();
+  if (block_compiled_) compiled_->Evaluate(block, &verdict_);
+}
+
+int64_t GuardExecutor::NextUncleared(int64_t from) const {
+  const int64_t rows = block_->num_rows();
+  if (!block_compiled_) return from < rows ? from : -1;
+  const int64_t violated =
+      verdict_.any_violation ? rowmask::NextSet(verdict_.violated, from, rows)
+                             : -1;
+  const int64_t fallback =
+      verdict_.any_fallback ? rowmask::NextSet(verdict_.fallback, from, rows)
+                            : -1;
+  if (violated < 0 || fallback < 0) return std::max(violated, fallback);
+  return std::min(violated, fallback);
+}
+
+GuardVerdict GuardExecutor::Read(int64_t r, Row* row) {
+  ++rows_read_;
+  return Judge(r, row);
+}
+
+GuardVerdict GuardExecutor::Judge(int64_t r, Row* row) {
+  const ColumnBatch& block = *block_;
+  row->resize(static_cast<size_t>(block.width()));
+  for (AttrIndex c = 0; c < block.width(); ++c) {
+    const ValueId* column = block.column(c);
+    (*row)[static_cast<size_t>(c)] = column != nullptr ? column[r] : kNullValue;
+  }
+
+  GuardVerdict out;
+  const Violation* begin = nullptr;
+  const Violation* end = nullptr;
+  if (block_compiled_ && !rowmask::Test(verdict_.fallback, r)) {
+    begin = verdict_.ViolationsBegin(r);
+    end = verdict_.ViolationsEnd(r);
+  } else {
+    Result<std::vector<Violation>> checked = interpreter_.CheckedCheck(*row);
+    if (!checked.ok()) {
+      ++rows_failed_;
+      out.status = checked.status();
+      return out;
     }
-    return flags;
+    checked_ = std::move(checked).value();
+    begin = checked_.data();
+    end = begin + checked_.size();
   }
-  for (RowIndex r = 0; r < table.num_rows(); ++r) {
-    flags[static_cast<size_t>(r)] = !interpreter_.Satisfies(table.GetRow(r));
+  out.violations = static_cast<int32_t>(end - begin);
+  if (out.violations == 0) return out;
+  ++rows_violating_;
+  GUARDRAIL_HISTOGRAM_RECORD("guard.violations_per_row", out.violations);
+
+  switch (policy_) {
+    case ErrorPolicy::kRaise:
+      ++rows_raised_;
+      out.status = Status::ConstraintViolation(
+          "row violates " + std::to_string(out.violations) +
+          " integrity constraint(s)");
+      return out;
+    case ErrorPolicy::kIgnore:
+      return out;
+    case ErrorPolicy::kCoerce:
+      ++rows_coerced_;
+      original_ = *row;
+      for (const Violation* v = begin; v != end; ++v) {
+        (*row)[static_cast<size_t>(v->attribute)] = kNullValue;
+      }
+      break;
+    case ErrorPolicy::kRectify:
+      ++rows_rectified_;
+      original_ = *row;
+      for (const Violation* v = begin; v != end; ++v) {
+        ApplyRectifyRepair(program_, *v, row);
+      }
+      break;
   }
-  return flags;
+  out.repaired = !(*row == original_);
+  return out;
+}
+
+void GuardExecutor::Flush() {
+  if (rows_read_ == 0) return;
+  if (telemetry::MetricsEnabled()) {
+    GUARDRAIL_COUNTER_ADD("guard.rows_checked", rows_read_);
+    if (rows_raised_ != 0) {
+      GUARDRAIL_COUNTER_ADD("guard.rows_raised", rows_raised_);
+    }
+    if (rows_coerced_ != 0) {
+      GUARDRAIL_COUNTER_ADD("guard.rows_coerced", rows_coerced_);
+    }
+    if (rows_rectified_ != 0) {
+      GUARDRAIL_COUNTER_ADD("guard.rows_rectified", rows_rectified_);
+    }
+    static telemetry::Histogram* const violations_per_row =
+        telemetry::MetricsRegistry::Instance().GetHistogram(
+            "guard.violations_per_row");
+    const int64_t clean = rows_read_ - rows_failed_ - rows_violating_;
+    if (clean > 0) violations_per_row->Record(0, clean);
+  }
+  rows_read_ = rows_failed_ = rows_violating_ = 0;
+  rows_raised_ = rows_coerced_ = rows_rectified_ = 0;
 }
 
 }  // namespace core

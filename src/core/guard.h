@@ -10,6 +10,7 @@
 #include "core/ast.h"
 #include "core/batch_eval.h"
 #include "core/interpreter.h"
+#include "table/column_batch.h"
 #include "table/table.h"
 
 namespace guardrail {
@@ -31,18 +32,18 @@ enum class ErrorPolicy { kRaise, kIgnore, kCoerce, kRectify };
 
 const char* ErrorPolicyName(ErrorPolicy policy);
 
-/// Which evaluation engine table-level guard calls use.
-///   kAuto        — compiled batch path when it is safe (table wide enough,
-///                  no "interpreter.check" failpoint armed — armed chaos runs
-///                  must replay the exact per-row scalar trip sequence),
-///                  scalar interpreter otherwise.
+/// Which evaluation engine a GuardExecutor uses.
+///   kAuto        — the compiled engine unless the "interpreter.check"
+///                  failpoint is armed (armed chaos runs must replay the
+///                  exact per-row interpreter trip sequence).
 ///   kInterpreter — always the per-row interpreter (baseline / parity tests).
-///   kCompiled    — the batch path whenever usable (tests, benches).
+///   kCompiled    — the compiled engine even with the failpoint armed.
+/// Under every mode a batch narrower than the program's reach is judged by
+/// the interpreter, which rejects each row with its width error.
 enum class GuardEvalMode { kAuto, kInterpreter, kCompiled };
 
 /// The MAP repair for one violation (see ErrorPolicy::kRectify), applied to
-/// `row` in place. Shared by Guard's scalar path and the batch consumers
-/// (serve engine, compiled ProcessTable), which repair only flagged rows.
+/// `row` in place.
 void ApplyRectifyRepair(const Program& program, const Violation& violation,
                         Row* row);
 
@@ -81,13 +82,14 @@ class Guard {
   /// other policies a per-row evaluation failure is isolated: the row is
   /// counted in rows_failed and left untouched, and the batch continues.
   ///
-  /// `mode` selects the engine; the default kAuto uses the compiled batch
-  /// path when safe. Outcomes (counters, flags, repairs) are byte-identical
-  /// across modes — tests/batch_eval_test.cc pins this.
+  /// `mode` selects the GuardExecutor engine. Outcomes (counters, flags,
+  /// repairs) are byte-identical across modes — tests/batch_eval_test.cc
+  /// pins this.
   GuardOutcome ProcessTable(Table* table, ErrorPolicy policy,
                             GuardEvalMode mode = GuardEvalMode::kAuto) const;
 
-  /// Pure detection: per-row violation flags (Eqn. 1), no mutation.
+  /// Pure detection: per-row violation flags (Eqn. 1), no mutation. A row
+  /// whose evaluation fails is not flagged.
   std::vector<bool> DetectViolations(
       const Table& table, GuardEvalMode mode = GuardEvalMode::kAuto) const;
 
@@ -98,17 +100,123 @@ class Guard {
   const Program* program() const { return program_; }
 
  private:
-  GuardOutcome ProcessTableScalar(Table* table, ErrorPolicy policy) const;
-  GuardOutcome ProcessTableBatched(Table* table, ErrorPolicy policy) const;
-
-  /// Whether the compiled path may serve this table under `mode`.
-  bool UseBatch(const Table& table, GuardEvalMode mode) const;
+  /// ProcessTable over `table`, writing repairs to `repaired` (nullptr for
+  /// detection, whose kIgnore policy repairs nothing).
+  GuardOutcome Scan(const Table& table, ErrorPolicy policy, GuardEvalMode mode,
+                    Table* repaired) const;
 
   const Program* program_;
   Interpreter interpreter_;
   // Compiled on demand so scalar-only consumers never pay the build.
   mutable std::once_flag compile_once_;
   mutable std::unique_ptr<const CompiledProgram> compiled_;
+};
+
+/// One row's guard verdict after the executor applied its policy.
+struct GuardVerdict {
+  /// Violations found; 0 for a clean row and for a failed evaluation.
+  int32_t violations = 0;
+  /// Whether kCoerce / kRectify changed the row.
+  bool repaired = false;
+  /// Not OK when the evaluation failed (violations == 0: an injected fault
+  /// or a row narrower than the program's reach) or when kRaise refused a
+  /// violating row (ConstraintViolation).
+  Status status;
+
+  bool failed() const { return violations == 0 && !status.ok(); }
+};
+
+/// The one guard execution path behind every consumer: the offline Guard
+/// (ProcessTable, DetectViolations, ProcessRow), SQL guarded scans, the
+/// serve engine and therefore stream-published programs. It owns the four
+/// decisions those consumers share, so verdict and repair bytes — and the
+/// guard.* counters — are the same whichever consumer reads them:
+///
+///  - engine choice: the compiled evaluator (core/batch_eval.h) over whole
+///    blocks, or the interpreter row by row (see GuardEvalMode);
+///  - interpreter fallback: Interpreter::CheckedCheck for rows the compiled
+///    engine cannot judge and for every row on the interpreter engine, run
+///    when the row is read, so failpoint trips follow the read order;
+///  - policy application: the kRaise refusal, kCoerce to NULL, kRectify via
+///    ApplyRectifyRepair;
+///  - counters: guard.rows_checked counts the rows whose verdict a consumer
+///    read, once each; guard.rows_raised / rows_coerced / rows_rectified
+///    the violating rows each policy handled. Tallies flush once per block
+///    (and on destruction), so clean rows cost no per-row telemetry call.
+///
+/// Blocks are ColumnBatch views carrying every column in [0, width)
+/// (FromTable / FromColumns); a block must outlive the calls reading it.
+/// Not thread-safe: concurrent consumers use one executor each.
+class GuardExecutor {
+ public:
+  /// `compiled` is a prebuilt evaluator of guard's program (the serve
+  /// registry's); nullptr builds guard.compiled() when the compiled engine
+  /// is chosen.
+  GuardExecutor(const Guard& guard, ErrorPolicy policy,
+                GuardEvalMode mode = GuardEvalMode::kAuto,
+                const CompiledProgram* compiled = nullptr);
+  ~GuardExecutor() { Flush(); }
+
+  GuardExecutor(const GuardExecutor&) = delete;
+  GuardExecutor& operator=(const GuardExecutor&) = delete;
+
+  /// Starts a block: the compiled engine evaluates it whole; the
+  /// interpreter engine defers each row to its read.
+  void Evaluate(const ColumnBatch& block);
+
+  /// Reads row `r` of the current block: `*row` receives the guarded row
+  /// (repaired in place under kCoerce / kRectify).
+  GuardVerdict Read(int64_t r, Row* row);
+
+  /// Reads every row of `block` in order. Rows the compiled engine cleared
+  /// are read without being materialized; for every other row
+  /// `on_row(r, verdict, guarded_row)` runs and returns whether to keep
+  /// reading. Returns the number of rows read.
+  template <typename OnRow>
+  int64_t Run(const ColumnBatch& block, OnRow&& on_row) {
+    Evaluate(block);
+    int64_t r = NextUncleared(0);
+    for (; r >= 0; r = NextUncleared(r + 1)) {
+      if (!on_row(r, Judge(r, &row_), row_)) break;
+    }
+    const int64_t read = r < 0 ? block.num_rows() : r + 1;
+    rows_read_ += read;
+    return read;
+  }
+
+ private:
+  /// Publishes the tallies to the guard.* metrics.
+  void Flush();
+
+  /// First row at or after `from` the compiled engine did not clear, or -1.
+  int64_t NextUncleared(int64_t from) const;
+
+  /// Row `r`'s verdict under the policy; uncounted.
+  GuardVerdict Judge(int64_t r, Row* row);
+
+  const Program& program_;
+  const Interpreter& interpreter_;
+  const ErrorPolicy policy_;
+  /// nullptr: the interpreter engine.
+  const CompiledProgram* compiled_;
+
+  const ColumnBatch* block_ = nullptr;
+  /// Whether the compiled engine judged the current block.
+  bool block_compiled_ = false;
+  BatchVerdict verdict_;
+  std::vector<Violation> checked_;
+  Row original_;
+  Row row_;
+
+  int64_t rows_read_ = 0;
+  int64_t rows_failed_ = 0;
+  /// Read rows with violations; each recorded its count in
+  /// guard.violations_per_row, and the flush records a zero for every other
+  /// read row that evaluated.
+  int64_t rows_violating_ = 0;
+  int64_t rows_raised_ = 0;
+  int64_t rows_coerced_ = 0;
+  int64_t rows_rectified_ = 0;
 };
 
 }  // namespace core

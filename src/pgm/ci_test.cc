@@ -26,8 +26,7 @@ struct Stratum {
 struct CiScratch {
   std::vector<int64_t> dense_counts;   // strata * kx * ky
   std::vector<int64_t> dense_totals;   // strata
-  std::vector<int64_t> row_margin;     // kx
-  std::vector<int64_t> col_margin;     // ky
+  G2Scratch margins;
   std::unordered_map<uint64_t, Stratum> strata;
   std::vector<uint64_t> ordered_keys;
 };
@@ -37,35 +36,57 @@ CiScratch& GetCiScratch() {
   return scratch;
 }
 
-/// Adds one stratum's G² contribution. `counts` is a dense kx*ky table;
-/// `total` its row count. Margins come from the caller's scratch.
-void AccumulateStratum(const int64_t* counts, int64_t total, int32_t kx,
-                       int32_t ky, std::vector<int64_t>* row_margin,
-                       std::vector<int64_t>* col_margin, double* g2,
-                       double* dof) {
+/// The power heuristic on the *full* degrees of freedom: with too few
+/// samples per cell the test has no power to reject, so the pair reads
+/// "independent, not reliable" (the PC convention for untestable pairs).
+bool Underpowered(int64_t n, double full_dof,
+                  const GSquareTest::Options& options) {
+  return full_dof <= 0.0 ||
+         static_cast<double>(n) < options.min_samples_per_dof * full_dof;
+}
+
+CiResult Verdict(double g2, double dof, const GSquareTest::Options& options) {
+  CiResult result;
+  result.statistic = g2;
+  result.dof = dof;
+  if (dof <= 0.0) {
+    result.reliable = false;
+    return result;
+  }
+  result.p_value = ChiSquareSurvival(g2, dof);
+  result.independent = result.p_value >= options.alpha;
+  return result;
+}
+
+}  // namespace
+
+void G2FromCounts(const int64_t* counts, int64_t total, int32_t rows,
+                  int32_t cols, G2Scratch* scratch, double* g2, double* dof) {
   if (total < 2) return;
-  std::fill(row_margin->begin(), row_margin->end(), 0);
-  std::fill(col_margin->begin(), col_margin->end(), 0);
-  for (int32_t i = 0; i < kx; ++i) {
-    for (int32_t j = 0; j < ky; ++j) {
-      int64_t c = counts[static_cast<size_t>(i) * ky + j];
-      (*row_margin)[static_cast<size_t>(i)] += c;
-      (*col_margin)[static_cast<size_t>(j)] += c;
+  std::vector<int64_t>& row_margin = scratch->row_margin;
+  std::vector<int64_t>& col_margin = scratch->col_margin;
+  row_margin.assign(static_cast<size_t>(rows), 0);
+  col_margin.assign(static_cast<size_t>(cols), 0);
+  for (int32_t i = 0; i < rows; ++i) {
+    for (int32_t j = 0; j < cols; ++j) {
+      int64_t c = counts[static_cast<size_t>(i) * cols + j];
+      row_margin[static_cast<size_t>(i)] += c;
+      col_margin[static_cast<size_t>(j)] += c;
     }
   }
   int32_t nonzero_rows = 0, nonzero_cols = 0;
-  for (int64_t m : *row_margin) nonzero_rows += m > 0 ? 1 : 0;
-  for (int64_t m : *col_margin) nonzero_cols += m > 0 ? 1 : 0;
+  for (int64_t m : row_margin) nonzero_rows += m > 0 ? 1 : 0;
+  for (int64_t m : col_margin) nonzero_cols += m > 0 ? 1 : 0;
   if (nonzero_rows < 2 || nonzero_cols < 2) return;
 
-  for (int32_t i = 0; i < kx; ++i) {
-    if ((*row_margin)[static_cast<size_t>(i)] == 0) continue;
-    for (int32_t j = 0; j < ky; ++j) {
-      int64_t obs = counts[static_cast<size_t>(i) * ky + j];
+  for (int32_t i = 0; i < rows; ++i) {
+    if (row_margin[static_cast<size_t>(i)] == 0) continue;
+    for (int32_t j = 0; j < cols; ++j) {
+      int64_t obs = counts[static_cast<size_t>(i) * cols + j];
       if (obs == 0) continue;
       double expected =
-          static_cast<double>((*row_margin)[static_cast<size_t>(i)]) *
-          static_cast<double>((*col_margin)[static_cast<size_t>(j)]) /
+          static_cast<double>(row_margin[static_cast<size_t>(i)]) *
+          static_cast<double>(col_margin[static_cast<size_t>(j)]) /
           static_cast<double>(total);
       *g2 += 2.0 * static_cast<double>(obs) *
              std::log(static_cast<double>(obs) / expected);
@@ -75,7 +96,24 @@ void AccumulateStratum(const int64_t* counts, int64_t total, int32_t kx,
           static_cast<double>(nonzero_cols - 1);
 }
 
-}  // namespace
+CiResult GSquareTest::MarginalFromCounts(const int64_t* counts, int64_t total,
+                                         int32_t rows, int32_t cols,
+                                         int64_t num_rows, int32_t card_x,
+                                         int32_t card_y,
+                                         const Options& options) {
+  const double full_dof =
+      static_cast<double>(card_x - 1) * static_cast<double>(card_y - 1);
+  if (Underpowered(num_rows, full_dof, options)) {
+    CiResult result;
+    result.reliable = false;
+    return result;
+  }
+  G2Scratch scratch;
+  double g2 = 0.0;
+  double dof = 0.0;
+  G2FromCounts(counts, total, rows, cols, &scratch, &g2, &dof);
+  return Verdict(g2, dof, options);
+}
 
 GSquareTest::GSquareTest(const EncodedData* data, Options options)
     : data_(data), options_(options) {
@@ -89,20 +127,14 @@ CiResult GSquareTest::Test(int32_t x, int32_t y,
   const int32_t kx = data_->cardinalities[static_cast<size_t>(x)];
   const int32_t ky = data_->cardinalities[static_cast<size_t>(y)];
 
-  CiResult result;
-
-  // Power heuristic on the *full* degrees of freedom: with too few samples
-  // per cell the test has no power to reject, so report "independent, not
-  // reliable" (the PC convention for untestable pairs).
   double full_dof = static_cast<double>(kx - 1) * static_cast<double>(ky - 1);
   for (int32_t zi : z) {
     full_dof *= static_cast<double>(
         data_->cardinalities[static_cast<size_t>(zi)]);
     if (full_dof > 1e15) break;  // Saturate; certainly unreliable.
   }
-  if (full_dof <= 0.0 ||
-      static_cast<double>(n) < options_.min_samples_per_dof * full_dof) {
-    result.independent = true;
+  if (Underpowered(n, full_dof, options_)) {
+    CiResult result;
     result.reliable = false;
     return result;
   }
@@ -134,8 +166,6 @@ CiResult GSquareTest::Test(int32_t x, int32_t y,
       num_strata * table_cells <= 4 * n + 1024;
 
   CiScratch& scratch = GetCiScratch();
-  scratch.row_margin.assign(static_cast<size_t>(kx), 0);
-  scratch.col_margin.assign(static_cast<size_t>(ky), 0);
 
   double g2 = 0.0;
   double dof = 0.0;
@@ -169,10 +199,9 @@ CiResult GSquareTest::Test(int32_t x, int32_t y,
       ++scratch.dense_totals[key];
     }
     for (int64_t s = 0; s < num_strata; ++s) {
-      AccumulateStratum(
-          scratch.dense_counts.data() + s * table_cells,
-          scratch.dense_totals[static_cast<size_t>(s)], kx, ky,
-          &scratch.row_margin, &scratch.col_margin, &g2, &dof);
+      G2FromCounts(scratch.dense_counts.data() + s * table_cells,
+                   scratch.dense_totals[static_cast<size_t>(s)], kx, ky,
+                   &scratch.margins, &g2, &dof);
     }
   } else {
     // Hash fallback: stratify rows by the conditioning-set key; each stratum
@@ -214,23 +243,12 @@ CiResult GSquareTest::Test(int32_t x, int32_t y,
     std::sort(scratch.ordered_keys.begin(), scratch.ordered_keys.end());
     for (uint64_t key : scratch.ordered_keys) {
       const Stratum& s = strata[key];
-      AccumulateStratum(s.counts.data(), s.total, kx, ky, &scratch.row_margin,
-                        &scratch.col_margin, &g2, &dof);
+      G2FromCounts(s.counts.data(), s.total, kx, ky, &scratch.margins, &g2,
+                   &dof);
     }
   }
 
-  result.statistic = g2;
-  result.dof = dof;
-  if (dof <= 0.0) {
-    result.independent = true;
-    result.reliable = false;
-    result.p_value = 1.0;
-    return result;
-  }
-  result.p_value = ChiSquareSurvival(g2, dof);
-  result.independent = result.p_value >= options_.alpha;
-  result.reliable = true;
-  return result;
+  return Verdict(g2, dof, options_);
 }
 
 }  // namespace pgm

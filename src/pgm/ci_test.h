@@ -25,6 +25,22 @@ struct CiResult {
   bool reliable = true;
 };
 
+/// Margin scratch for G2FromCounts, reused across calls.
+struct G2Scratch {
+  std::vector<int64_t> row_margin;
+  std::vector<int64_t> col_margin;
+};
+
+/// The one G² kernel. Adds the likelihood-ratio statistic and degrees of
+/// freedom of one dense row-major `rows` x `cols` contingency table, whose
+/// counts sum to `total`, to *g2 and *dof: sum 2 * obs * ln(obs / expected)
+/// over non-zero cells, dof (non-empty rows - 1) * (non-empty columns - 1).
+/// A table with fewer than two non-empty rows or columns adds nothing.
+/// GSquareTest sums it over the strata of a conditioning set; the drift
+/// detector runs it on cell-major K x 2 {baseline, window} tables.
+void G2FromCounts(const int64_t* counts, int64_t total, int32_t rows,
+                  int32_t cols, G2Scratch* scratch, double* g2, double* dof);
+
 /// G-squared (likelihood-ratio) conditional-independence test on categorical
 /// data, the standard test driving the PC algorithm.
 ///
@@ -57,6 +73,17 @@ class GSquareTest {
   int64_t num_tests_run() const {
     return num_tests_.load(std::memory_order_relaxed);
   }
+
+  /// Test(x, y, {}) answered from counts instead of rows: `counts` is the
+  /// dense row-major `rows` x `cols` table of (x, y) values over the rows
+  /// where both are non-NULL, `total` of them. The power heuristic reads
+  /// `num_rows` (every row, NULLs included) and the attributes' full
+  /// cardinalities `card_x` / `card_y`, as Test does. The result is
+  /// bit-identical to Test over the rows behind the counts.
+  static CiResult MarginalFromCounts(const int64_t* counts, int64_t total,
+                                     int32_t rows, int32_t cols,
+                                     int64_t num_rows, int32_t card_x,
+                                     int32_t card_y, const Options& options);
 
  private:
   const EncodedData* data_;

@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/guard.h"
-#include "core/interpreter.h"
 
 namespace guardrail {
 namespace serve {
@@ -34,96 +33,37 @@ std::string RowToCsvRecord(const DecodedColumns& columns, const Row& row) {
 struct RequestScan {
   const DecodedColumns* columns;
   const core::Guard* guard;
-  /// nullptr: every row takes the scalar path (engine configured scalar, or
-  /// "interpreter.check" chaos armed, whose per-row trip sequence must be
-  /// replayed exactly).
+  /// The snapshot's shared evaluator.
   const core::CompiledProgram* compiled;
   core::ErrorPolicy scheme;
 };
 
-/// Vets one row with the offline Guard semantics. The verdict comes from
-/// Interpreter::CheckedCheck — the same call Guard::ProcessRow makes — so
-/// online and offline agree by construction; the repaired row (coerce /
-/// rectify) is produced by Guard::ProcessRow itself.
-RowResult ValidateOneRow(const RequestScan& scan, const Row& row) {
-  RowResult out;
-  Result<std::vector<core::Violation>> checked =
-      scan.guard->interpreter().CheckedCheck(row);
-  if (!checked.ok()) {
-    out.verdict = RowVerdict::kFailed;
-    out.detail = checked.status().ToString();
-    return out;
-  }
-  if (checked->empty()) return out;
-  out.verdict = RowVerdict::kViolation;
-  out.violations = static_cast<uint16_t>(
-      checked->size() > 0xFFFF ? 0xFFFF : checked->size());
-  if (scan.scheme == core::ErrorPolicy::kCoerce ||
-      scan.scheme == core::ErrorPolicy::kRectify) {
-    Result<Row> processed = scan.guard->ProcessRow(row, scan.scheme);
-    if (!processed.ok()) {
-      out.verdict = RowVerdict::kFailed;
-      out.detail = processed.status().ToString();
-      return out;
-    }
-    if (!(*processed == row)) {
-      out.detail = RowToCsvRecord(*scan.columns, *processed);
-    }
-  }
-  return out;
-}
-
-/// Vets rows [begin, begin + count), writing results into out[0..count).
-/// The compiled evaluator reads the block's decoded columns in place; clean
-/// rows (the vast majority) are never materialized. Violating rows
-/// replicate ValidateOneRow's verdict bytes and guard counters; rows the
-/// evaluator routes to fallback, and every row without a compiled program,
-/// go through ValidateOneRow itself so their bytes are the oracle's.
+/// Vets rows [begin, begin + count), writing results into out[0..count):
+/// the guard executor reads the block's decoded columns in place, and only
+/// rows it did not clear become RowResults other than kOk.
 void ValidateBlock(const RequestScan& scan, int64_t begin, int64_t count,
                    RowResult* out) {
-  core::BatchVerdict verdict;
-  if (scan.compiled != nullptr) {
-    scan.compiled->Evaluate(scan.columns->View(begin, count), &verdict);
-    if (!verdict.any_violation && !verdict.any_fallback) return;  // All kOk.
-  }
-  const bool repairing = scan.scheme == core::ErrorPolicy::kCoerce ||
-                         scan.scheme == core::ErrorPolicy::kRectify;
-  for (int64_t r = 0; r < count; ++r) {
-    if (scan.compiled == nullptr ||
-        (verdict.any_fallback && rowmask::Test(verdict.fallback, r))) {
-      out[r] = ValidateOneRow(scan, scan.columns->MaterializeRow(begin + r));
-      continue;
-    }
-    int32_t nviol = verdict.ViolationCount(r);
-    if (nviol == 0) continue;  // Default-constructed kOk.
-    RowResult& res = out[r];
-    res.verdict = RowVerdict::kViolation;
-    res.violations = static_cast<uint16_t>(nviol > 0xFFFF ? 0xFFFF : nviol);
-    if (!repairing) continue;
-    // Same counters Guard::ProcessRow emits on the scalar path; clean rows
-    // never reach ProcessRow there either.
-    GUARDRAIL_COUNTER_INC("guard.rows_checked");
-    GUARDRAIL_HISTOGRAM_RECORD("guard.violations_per_row",
-                               static_cast<int64_t>(nviol));
-    const Row original = scan.columns->MaterializeRow(begin + r);
-    Row repaired = original;
-    if (scan.scheme == core::ErrorPolicy::kCoerce) {
-      GUARDRAIL_COUNTER_INC("guard.rows_coerced");
-      for (const core::Violation* v = verdict.ViolationsBegin(r);
-           v != verdict.ViolationsEnd(r); ++v) {
-        repaired[static_cast<size_t>(v->attribute)] = kNullValue;
-      }
-    } else {
-      GUARDRAIL_COUNTER_INC("guard.rows_rectified");
-      for (const core::Violation* v = verdict.ViolationsBegin(r);
-           v != verdict.ViolationsEnd(r); ++v) {
-        core::ApplyRectifyRepair(*scan.guard->program(), *v, &repaired);
-      }
-    }
-    if (!(repaired == original)) {
-      res.detail = RowToCsvRecord(*scan.columns, repaired);
-    }
-  }
+  core::GuardExecutor executor(*scan.guard, scan.scheme,
+                               core::GuardEvalMode::kAuto, scan.compiled);
+  executor.Run(scan.columns->View(begin, count),
+               [&](int64_t r, const core::GuardVerdict& verdict,
+                   const Row& row) {
+                 RowResult& res = out[r];
+                 if (verdict.failed()) {
+                   res.verdict = RowVerdict::kFailed;
+                   res.detail = verdict.status.ToString();
+                   return true;
+                 }
+                 if (verdict.violations == 0) return true;
+                 // Every row gets a verdict; kRaise refuses none of them.
+                 res.verdict = RowVerdict::kViolation;
+                 res.violations = static_cast<uint16_t>(
+                     std::min<int32_t>(verdict.violations, 0xFFFF));
+                 if (verdict.repaired) {
+                   res.detail = RowToCsvRecord(*scan.columns, row);
+                 }
+                 return true;
+               });
 }
 
 }  // namespace
@@ -257,15 +197,8 @@ ValidateResponse ValidationEngine::HandleAdmitted(
                        : CancellationToken::Never();
 
   core::Guard guard(&snapshot->program);
-  // The compiled batch evaluator serves whole row blocks; armed
-  // "interpreter.check" chaos must replay its exact per-row scalar trip
-  // sequence, so such runs (and engines configured scalar) skip it.
-  const core::CompiledProgram* compiled =
-      options_.use_batch_eval && snapshot->compiled != nullptr &&
-              !FailpointRegistry::Instance().IsArmed("interpreter.check")
-          ? snapshot->compiled.get()
-          : nullptr;
-  const RequestScan request_scan{&*columns, &guard, compiled, request.scheme};
+  const RequestScan request_scan{&*columns, &guard, snapshot->compiled.get(),
+                                 request.scheme};
   const int64_t n = columns->num_rows();
   span.AddArg("rows", n);
   response.rows.resize(static_cast<size_t>(n));

@@ -64,13 +64,6 @@ struct EngineOptions {
   int dedup_window = 1024;
   /// retry_after_ms hint attached to ResourceExhausted shed responses.
   uint32_t retry_after_hint_ms = 25;
-  /// Validate row blocks with the snapshot's compiled batch evaluator
-  /// (core/batch_eval.h) instead of per-row interpreter calls. Rows the
-  /// compiled path cannot judge (narrow rows) and whole requests while the
-  /// "interpreter.check" chaos failpoint is armed still take the scalar
-  /// path, so verdict bytes and chaos replays are unchanged. False forces
-  /// the scalar path everywhere (parity tests, interpreter baselines).
-  bool use_batch_eval = true;
 };
 
 /// Bounded FIFO memory of answered request ids. A retransmitted id replays

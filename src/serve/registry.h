@@ -37,8 +37,8 @@ struct ProgramSnapshot {
   Schema schema;
   /// Batch evaluator compiled once at publication, pointing into `program`
   /// (which is heap-stable for the snapshot's lifetime). Every request on
-  /// this snapshot shares it; the engine falls back to the interpreter when
-  /// it is absent or a chaos failpoint is armed.
+  /// this snapshot shares it (core::GuardExecutor picks the interpreter
+  /// instead while the "interpreter.check" chaos failpoint is armed).
   std::unique_ptr<const core::CompiledProgram> compiled;
 
   int32_t statement_count() const {

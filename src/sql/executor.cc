@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "common/failpoint.h"
 #include "common/telemetry/telemetry.h"
@@ -174,42 +175,13 @@ class Evaluator {
     return Status::Internal("unknown expression kind");
   }
 
-  /// The guarded row used for model input (lazily computed). When safe, the
-  /// guard runs through the compiled batch evaluator over scanned-table
-  /// chunks (one columnar evaluation per kGuardChunkRows rows) instead of
-  /// per-row interpreter calls; verdicts, stats, and counters are identical.
+  /// The guarded row used for model input, computed at most once per row.
+  /// The "sql.guard_row" failpoint trips once per consumed row.
   Result<Row> GuardedRow() {
     if (!guarded_ready_) {
       if (exec_->guard_ != nullptr) {
-        if (guard_batch_state_ == kGuardBatchUndecided) {
-          // Armed failpoints on this path must keep their exact per-row
-          // trip sequence, so chaos runs stay on the scalar path wholesale.
-          FailpointRegistry& failpoints = FailpointRegistry::Instance();
-          bool eligible =
-              !failpoints.IsArmed("sql.guard_row") &&
-              !failpoints.IsArmed("interpreter.check") &&
-              static_cast<size_t>(table_->num_columns()) >=
-                  exec_->guard_->interpreter().MinRowWidth();
-          guard_batch_state_ =
-              eligible ? kGuardBatchCompiled : kGuardBatchScalar;
-        }
-        if (guard_batch_state_ == kGuardBatchCompiled) {
-          GUARDRAIL_RETURN_NOT_OK(GuardRowBatched());
-        } else {
-          GUARDRAIL_FAILPOINT("sql.guard_row");
-          StopWatch watch;
-          Result<Row> processed =
-              exec_->guard_->ProcessRow(raw_row_, exec_->guard_policy_);
-          double guard_seconds = watch.ElapsedSeconds();
-          exec_->stats_.guard_seconds += guard_seconds;
-          GUARDRAIL_COUNTER_ADD("sql.guard_micros",
-                                static_cast<int64_t>(guard_seconds * 1e6));
-          if (!processed.ok()) return processed.status();
-          if (!(processed.value() == raw_row_)) {
-            ++exec_->stats_.rows_guard_flagged;
-          }
-          guarded_row_ = std::move(processed).value();
-        }
+        GUARDRAIL_FAILPOINT("sql.guard_row");
+        GUARDRAIL_RETURN_NOT_OK(GuardRow());
       } else {
         guarded_row_ = raw_row_;
       }
@@ -324,77 +296,37 @@ class Evaluator {
         "aggregate " + name + " in a non-aggregated context");
   }
 
-  /// Scanned-table rows covered by one compiled guard evaluation.
+  /// Scanned-table rows the guard executor judges per block.
   static constexpr int64_t kGuardChunkRows = 1024;
-  enum GuardBatchState {
-    kGuardBatchUndecided = 0,
-    kGuardBatchCompiled,
-    kGuardBatchScalar,
-  };
 
-  /// Compiled-path twin of the scalar ProcessRow call above: ensures the
-  /// chunk containing row_index_ is evaluated, then applies the policy to
-  /// this row from the chunk's CSR violations. Emits the same guard.*
-  /// counters and stats as Guard::ProcessRow would for this row; the chunk
-  /// evaluation cost lands on the row that triggered it, so accumulated
-  /// guard_seconds stays the true total.
-  Status GuardRowBatched() {
+  /// Reads the current row's verdict from the guard executor, evaluating
+  /// the chunk holding it first when it is not the cached one. The chunk's
+  /// cost lands on the row that triggered it, so accumulated guard_seconds
+  /// stays the true total.
+  Status GuardRow() {
     StopWatch watch;
+    if (guard_ == nullptr) {
+      guard_ = std::make_unique<core::GuardExecutor>(*exec_->guard_,
+                                                     exec_->guard_policy_);
+    }
     if (guard_chunk_begin_ < 0 || row_index_ < guard_chunk_begin_ ||
-        row_index_ >= guard_chunk_begin_ + guard_chunk_count_) {
+        row_index_ >= guard_chunk_begin_ + guard_chunk_.num_rows()) {
       guard_chunk_begin_ = row_index_ - (row_index_ % kGuardChunkRows);
-      guard_chunk_count_ =
+      guard_chunk_ = ColumnBatch::FromTable(
+          *table_, guard_chunk_begin_,
           std::min<int64_t>(kGuardChunkRows,
-                            table_->num_rows() - guard_chunk_begin_);
-      exec_->guard_->compiled().EvaluateTable(
-          *table_, guard_chunk_begin_, guard_chunk_count_, &guard_verdict_);
+                            table_->num_rows() - guard_chunk_begin_));
+      guard_->Evaluate(guard_chunk_);
     }
-    const int64_t local = row_index_ - guard_chunk_begin_;
-    GUARDRAIL_COUNTER_INC("guard.rows_checked");
-    const int32_t num_violations = guard_verdict_.ViolationCount(local);
-    GUARDRAIL_HISTOGRAM_RECORD("guard.violations_per_row",
-                               static_cast<int64_t>(num_violations));
-    Status result = Status::OK();
-    if (num_violations == 0) {
-      guarded_row_ = raw_row_;
-    } else {
-      switch (exec_->guard_policy_) {
-        case core::ErrorPolicy::kRaise:
-          GUARDRAIL_COUNTER_INC("guard.rows_raised");
-          result = Status::ConstraintViolation(
-              "row violates " + std::to_string(num_violations) +
-              " integrity constraint(s)");
-          break;
-        case core::ErrorPolicy::kIgnore:
-          guarded_row_ = raw_row_;
-          break;
-        case core::ErrorPolicy::kCoerce:
-          GUARDRAIL_COUNTER_INC("guard.rows_coerced");
-          guarded_row_ = raw_row_;
-          for (const core::Violation* v = guard_verdict_.ViolationsBegin(local);
-               v != guard_verdict_.ViolationsEnd(local); ++v) {
-            guarded_row_[static_cast<size_t>(v->attribute)] = kNullValue;
-          }
-          break;
-        case core::ErrorPolicy::kRectify:
-          GUARDRAIL_COUNTER_INC("guard.rows_rectified");
-          guarded_row_ = raw_row_;
-          for (const core::Violation* v = guard_verdict_.ViolationsBegin(local);
-               v != guard_verdict_.ViolationsEnd(local); ++v) {
-            core::ApplyRectifyRepair(*exec_->guard_->program(), *v,
-                                     &guarded_row_);
-          }
-          break;
-      }
-    }
+    core::GuardVerdict verdict =
+        guard_->Read(row_index_ - guard_chunk_begin_, &guarded_row_);
     double guard_seconds = watch.ElapsedSeconds();
     exec_->stats_.guard_seconds += guard_seconds;
     GUARDRAIL_COUNTER_ADD("sql.guard_micros",
                           static_cast<int64_t>(guard_seconds * 1e6));
-    if (result.ok() && !(guarded_row_ == raw_row_)) {
-      ++exec_->stats_.rows_guard_flagged;
-    }
-    return result;
+    if (!verdict.status.ok()) return verdict.status;
+    if (verdict.repaired) ++exec_->stats_.rows_guard_flagged;
+    return Status::OK();
   }
 
   Executor* exec_;
@@ -403,10 +335,9 @@ class Evaluator {
   Row raw_row_;
   Row guarded_row_;
   bool guarded_ready_ = false;
-  int guard_batch_state_ = kGuardBatchUndecided;
+  std::unique_ptr<core::GuardExecutor> guard_;
   RowIndex guard_chunk_begin_ = -1;
-  int64_t guard_chunk_count_ = 0;
-  core::BatchVerdict guard_verdict_;
+  ColumnBatch guard_chunk_;
   const std::map<const Expr*, SqlValue>* finalized_ = nullptr;
 };
 

@@ -1,7 +1,6 @@
 #include "stream/drift_detector.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -10,75 +9,17 @@
 namespace guardrail {
 namespace stream {
 
-namespace {
-
-/// Two-sample G² test of homogeneity over one pair's contingency tables:
-/// treats {baseline, window} as the second margin of a 2 x K table whose K
-/// categories are the (vx, vy) cells with pooled support, and asks whether
-/// the window's cell distribution matches the baseline's.
-PairDrift ScorePair(AttrIndex x, AttrIndex y,
-                    const StatsStore::PairTable& base,
-                    const StatsStore::PairTable& win) {
-  PairDrift out;
-  out.x = x;
-  out.y = y;
-  const double nb = static_cast<double>(base.total);
-  const double nw = static_cast<double>(win.total);
-  const double grand = nb + nw;
-  if (base.total == 0 || win.total == 0) return out;
-
-  const int32_t cx = std::max(base.card_x, win.card_x);
-  const int32_t cy = std::max(base.card_y, win.card_y);
-  double g2 = 0.0;
-  int64_t support_cells = 0;
-  for (int32_t vx = 0; vx < cx; ++vx) {
-    for (int32_t vy = 0; vy < cy; ++vy) {
-      const double b = static_cast<double>(base.Count(vx, vy));
-      const double w = static_cast<double>(win.Count(vx, vy));
-      const double pooled = b + w;
-      if (pooled <= 0.0) continue;
-      ++support_cells;
-      const double eb = nb * pooled / grand;
-      const double ew = nw * pooled / grand;
-      if (b > 0.0) g2 += b * std::log(b / eb);
-      if (w > 0.0) g2 += w * std::log(w / ew);
-    }
-  }
-  if (support_cells <= 1) return out;
-  out.statistic = 2.0 * g2;
-  out.dof = static_cast<double>(support_cells - 1);
-  out.p_value = ChiSquareSurvival(out.statistic, out.dof);
+Homogeneity TestHomogeneity(const std::vector<int64_t>& cells,
+                            pgm::G2Scratch* scratch) {
+  Homogeneity out;
+  const int32_t categories = static_cast<int32_t>(cells.size() / 2);
+  int64_t total = 0;
+  for (int64_t c : cells) total += c;
+  pgm::G2FromCounts(cells.data(), total, categories, 2, scratch,
+                    &out.statistic, &out.dof);
+  if (out.dof > 0.0) out.p_value = ChiSquareSurvival(out.statistic, out.dof);
   return out;
 }
-
-/// Two-sample G² over one attribute's marginal counts (same 2 x K framing
-/// as ScorePair with the values as categories). Used for blame refinement:
-/// an attribute whose own marginal moved explains every joint pair it
-/// appears in, so its partners are not dragged into the drifted set.
-double MarginalDriftPValue(const std::vector<int64_t>& base,
-                           const std::vector<int64_t>& win) {
-  double nb = 0.0, nw = 0.0;
-  const size_t k = std::max(base.size(), win.size());
-  for (int64_t c : base) nb += static_cast<double>(c);
-  for (int64_t c : win) nw += static_cast<double>(c);
-  const double grand = nb + nw;
-  if (nb <= 0.0 || nw <= 0.0) return 1.0;
-  double g2 = 0.0;
-  int64_t support = 0;
-  for (size_t v = 0; v < k; ++v) {
-    const double b = v < base.size() ? static_cast<double>(base[v]) : 0.0;
-    const double w = v < win.size() ? static_cast<double>(win[v]) : 0.0;
-    const double pooled = b + w;
-    if (pooled <= 0.0) continue;
-    ++support;
-    if (b > 0.0) g2 += b * std::log(b / (nb * pooled / grand));
-    if (w > 0.0) g2 += w * std::log(w / (nw * pooled / grand));
-  }
-  if (support <= 1) return 1.0;
-  return ChiSquareSurvival(2.0 * g2, static_cast<double>(support - 1));
-}
-
-}  // namespace
 
 DriftReport DriftDetector::Compare(const StatsStore& baseline,
                                    const StatsStore& window) const {
@@ -94,18 +35,41 @@ DriftReport DriftDetector::Compare(const StatsStore& baseline,
   // moved marginally, that endpoint alone takes the blame; pairs where both
   // or neither moved keep both endpoints (a conditional can shift without
   // moving either marginal).
+  pgm::G2Scratch scratch;
+  std::vector<int64_t> cells;  // Cell-major K x 2 {baseline, window}.
   std::vector<bool> marginal_moved(static_cast<size_t>(n), false);
   for (AttrIndex a = 0; a < n; ++a) {
+    const std::vector<int64_t>& base = baseline.marginal(a);
+    const std::vector<int64_t>& win = window.marginal(a);
+    cells.assign(2 * std::max(base.size(), win.size()), 0);
+    for (size_t v = 0; v < base.size(); ++v) cells[2 * v] = base[v];
+    for (size_t v = 0; v < win.size(); ++v) cells[2 * v + 1] = win[v];
     marginal_moved[static_cast<size_t>(a)] =
-        MarginalDriftPValue(baseline.marginal(a), window.marginal(a)) <
-        options_.alpha;
+        TestHomogeneity(cells, &scratch).p_value < options_.alpha;
   }
   for (AttrIndex x = 0; x < n; ++x) {
     for (AttrIndex y = x + 1; y < n; ++y) {
       const StatsStore::PairTable& win = window.pair(x, y);
       if (win.total < options_.min_pair_rows) continue;
-      PairDrift drift = ScorePair(x, y, baseline.pair(x, y), win);
-      if (drift.dof <= 0.0) continue;
+      const StatsStore::PairTable& base = baseline.pair(x, y);
+      const int32_t cx = std::max(base.card_x, win.card_x);
+      const int32_t cy = std::max(base.card_y, win.card_y);
+      cells.resize(2 * static_cast<size_t>(cx) * static_cast<size_t>(cy));
+      size_t k = 0;
+      for (int32_t vx = 0; vx < cx; ++vx) {
+        for (int32_t vy = 0; vy < cy; ++vy) {
+          cells[k++] = base.Count(vx, vy);
+          cells[k++] = win.Count(vx, vy);
+        }
+      }
+      const Homogeneity score = TestHomogeneity(cells, &scratch);
+      if (score.dof <= 0.0) continue;
+      PairDrift drift;
+      drift.x = x;
+      drift.y = y;
+      drift.statistic = score.statistic;
+      drift.dof = score.dof;
+      drift.p_value = score.p_value;
       ++scorable;
       drift.drifted = drift.p_value < options_.alpha &&
                       drift.statistic >= options_.min_statistic;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "pgm/ci_test.h"
 #include "stream/stats_store.h"
 #include "table/value.h"
 
@@ -32,6 +33,23 @@ struct DriftOptions {
   /// the synthesizer falls back to full resynthesis.
   double global_fraction = 0.5;
 };
+
+/// A two-sample G² test of homogeneity: are a window's counts over K
+/// categories drawn from the same distribution as a baseline's?
+struct Homogeneity {
+  double statistic = 0.0;
+  /// Categories with support - 1; 0 when fewer than two categories have
+  /// support or either sample is empty.
+  double dof = 0.0;
+  /// 1 when dof is 0.
+  double p_value = 1.0;
+};
+
+/// Scores `cells`, the cell-major K x 2 table {baseline, window} (category
+/// k's counts at 2k and 2k + 1), with pgm::G2FromCounts. The drift detector
+/// scores pair cells and attribute marginals this way.
+Homogeneity TestHomogeneity(const std::vector<int64_t>& cells,
+                            pgm::G2Scratch* scratch);
 
 /// One attribute pair's shift score: a two-sample G² test of homogeneity
 /// between the frozen baseline contingency table and the current window's.

@@ -11,7 +11,6 @@
 #include "core/normalize.h"
 #include "core/serialization.h"
 #include "core/sketch_filler.h"
-#include "pgm/encoded_data.h"
 
 namespace guardrail {
 namespace stream {
@@ -116,70 +115,38 @@ Status IncrementalSynthesizer::IngestRows(const std::vector<Row>& rows) {
   return Status::OK();
 }
 
-std::vector<bool> IncrementalSynthesizer::ComputeCiVerdicts(
-    int64_t* tests_run) const {
-  const int64_t n = data_.num_columns();
-  std::vector<bool> verdicts(static_cast<size_t>(n * (n - 1) / 2), true);
-  const pgm::EncodedData encoded = pgm::EncodeIdentity(data_);
-  const pgm::GSquareTest test(&encoded, options_.ci);
-  const std::vector<int32_t> empty_z;
+std::vector<pgm::CiResult> IncrementalSynthesizer::MarginalCiTests() const {
+  StatsStore counts = baseline_;
+  counts.Merge(window_);
+  const int32_t n = counts.num_attributes();
+  std::vector<pgm::CiResult> tests;
+  tests.reserve(static_cast<size_t>(n) * static_cast<size_t>(n - 1) / 2);
   for (AttrIndex x = 0; x < n; ++x) {
     for (AttrIndex y = x + 1; y < n; ++y) {
-      verdicts[PairFlatIndex(n, x, y)] = test.Test(x, y, empty_z).independent;
+      const StatsStore::PairTable& pair = counts.pair(x, y);
+      tests.push_back(pgm::GSquareTest::MarginalFromCounts(
+          pair.counts.data(), pair.total, pair.card_x, pair.card_y,
+          counts.num_rows(), data_.schema().attribute(x).domain_size(),
+          data_.schema().attribute(y).domain_size(), options_.ci));
     }
   }
-  if (tests_run != nullptr) *tests_run += test.num_tests_run();
-  return verdicts;
+  return tests;
 }
 
-Status IncrementalSynthesizer::Publish(const core::SynthesisReport& report,
-                                       RefreshResult* out) {
+void IncrementalSynthesizer::Publish(const core::Program& program,
+                                     const std::string& certificate,
+                                     RefreshResult* out) {
   const std::string previous = program_text_;
-  if (options_.serve_minimized && report.minimized) {
-    const std::string comment = std::string(analysis::kMinimizedMarker + 2) +
-                                "\nstreaming refresh (" +
-                                RefreshActionName(out->action) + ")";
-    program_text_ =
-        core::SerializeProgram(report.minimization.program, data_.schema(),
-                               comment);
-    certificate_text_ = report.minimization.certificate;
-  } else {
-    program_text_ = core::SerializeProgram(
-        report.program, data_.schema(),
-        std::string("streaming refresh (") + RefreshActionName(out->action) +
-            ")");
-    certificate_text_.clear();
+  std::string comment = std::string("streaming refresh (") +
+                        RefreshActionName(out->action) + ")";
+  if (!certificate.empty()) {
+    comment = std::string(analysis::kMinimizedMarker + 2) + "\n" + comment;
   }
+  program_text_ = core::SerializeProgram(program, data_.schema(), comment);
+  certificate_text_ = certificate;
   out->program_text = program_text_;
   out->certificate_text = certificate_text_;
   out->published_changed = program_text_ != previous;
-  return Status::OK();
-}
-
-Status IncrementalSynthesizer::PublishProgram(const core::Program& ensemble,
-                                              RefreshResult* out) {
-  const std::string previous = program_text_;
-  if (options_.serve_minimized) {
-    auto minimized = analysis::MinimizeProgram(
-        ensemble, data_.schema(), options_.synthesis.minimize_options);
-    if (!minimized.ok()) return minimized.status();
-    const std::string comment = std::string(analysis::kMinimizedMarker + 2) +
-                                "\nstreaming refresh (" +
-                                RefreshActionName(out->action) + ")";
-    program_text_ = core::SerializeProgram(minimized->program, data_.schema(),
-                                           comment);
-    certificate_text_ = minimized->certificate;
-  } else {
-    program_text_ = core::SerializeProgram(
-        ensemble, data_.schema(),
-        std::string("streaming refresh (") + RefreshActionName(out->action) +
-            ")");
-    certificate_text_.clear();
-  }
-  out->program_text = program_text_;
-  out->certificate_text = certificate_text_;
-  out->published_changed = program_text_ != previous;
-  return Status::OK();
 }
 
 Result<RefreshResult> IncrementalSynthesizer::FullResynthesis(
@@ -207,10 +174,18 @@ Result<RefreshResult> IncrementalSynthesizer::FullResynthesis(
     ensemble_order_.push_back(sketch);
     fill_cache_[sketch] = statement;
   }
-  baseline_ci_verdicts_ = ComputeCiVerdicts(&out.ci_tests_rerun);
+  baseline_ci_verdicts_.clear();
+  for (const pgm::CiResult& test : MarginalCiTests()) {
+    baseline_ci_verdicts_.push_back(test.independent);
+  }
+  out.ci_tests_rerun += static_cast<int64_t>(baseline_ci_verdicts_.size());
 
-  Status published = Publish(report, &out);
-  if (!published.ok()) return published;
+  if (options_.serve_minimized && report.minimized) {
+    Publish(report.minimization.program, report.minimization.certificate,
+            &out);
+  } else {
+    Publish(report.program, "", &out);
+  }
 
   baseline_.Merge(window_);
   window_.Reset(data_.num_columns());
@@ -276,13 +251,11 @@ Result<RefreshResult> IncrementalSynthesizer::Refresh(bool force_full) {
   // is stale, and patching statements under a wrong skeleton is unsound.
   {
     const int64_t n = data_.num_columns();
-    const pgm::EncodedData encoded = pgm::EncodeIdentity(data_);
-    const pgm::GSquareTest test(&encoded, options_.ci);
-    const std::vector<int32_t> empty_z;
+    const std::vector<pgm::CiResult> tests = MarginalCiTests();
     for (const auto& [x, y] : out.drift.drifted) {
-      const bool independent = test.Test(x, y, empty_z).independent;
+      const size_t pair = PairFlatIndex(n, x, y);
       ++out.ci_tests_rerun;
-      if (independent != baseline_ci_verdicts_[PairFlatIndex(n, x, y)]) {
+      if (tests[pair].independent != baseline_ci_verdicts_[pair]) {
         Result<RefreshResult> full = FullResynthesis(
             RefreshAction::kFull,
             "ci verdict flipped for pair (" + std::to_string(x) + ", " +
@@ -344,8 +317,14 @@ Result<RefreshResult> IncrementalSynthesizer::Refresh(bool force_full) {
   }
   core::CanonicalizeProgramOrder(&ensemble);
 
-  Status published = PublishProgram(ensemble, &out);
-  if (!published.ok()) return published;
+  if (options_.serve_minimized) {
+    auto minimized = analysis::MinimizeProgram(
+        ensemble, data_.schema(), options_.synthesis.minimize_options);
+    if (!minimized.ok()) return minimized.status();
+    Publish(minimized->program, minimized->certificate, &out);
+  } else {
+    Publish(ensemble, "", &out);
+  }
 
   baseline_.Merge(window_);
   window_.Reset(data_.num_columns());

@@ -124,6 +124,12 @@ class IncrementalSynthesizer {
   const StatsStore& baseline() const { return baseline_; }
   const StatsStore& window() const { return window_; }
 
+  /// The marginal G² test of every attribute pair (x < y, in lexicographic
+  /// pair order) over all ingested rows, answered from the baseline merged
+  /// with the window; each equals GSquareTest::Test(x, y, {}) scanning the
+  /// accumulated rows, bit for bit (domain sizes drive the power heuristic).
+  std::vector<pgm::CiResult> MarginalCiTests() const;
+
   /// Seeds the accumulated table's schema before the first ingest (so wire
   /// batches resolve against the serving schema's attribute order).
   void SeedSchema(const Schema& schema);
@@ -134,16 +140,11 @@ class IncrementalSynthesizer {
   Result<RefreshResult> FullResynthesis(RefreshAction action,
                                         std::string reason);
 
-  /// Serializes (and certifies, under serve_minimized) `report` into
-  /// program_text_ / certificate_text_.
-  Status Publish(const core::SynthesisReport& report, RefreshResult* out);
-
-  /// Re-serializes an incrementally patched ensemble through the same
-  /// minimize + certify gate.
-  Status PublishProgram(const core::Program& ensemble, RefreshResult* out);
-
-  /// Marginal G² verdicts for every attribute pair over data_.
-  std::vector<bool> ComputeCiVerdicts(int64_t* tests_run) const;
+  /// Serializes `program` into program_text_ and stores `certificate`, the
+  /// minimization certificate proving it equivalent to the ensemble ("" when
+  /// `program` is not a minimization).
+  void Publish(const core::Program& program, const std::string& certificate,
+               RefreshResult* out);
 
   IncrementalOptions options_;
   DriftDetector detector_;

@@ -3,21 +3,28 @@
 // verdicts, same violation lists, same repairs, same GuardOutcome counters —
 // across all 12 evaluation datasets x 4 error-handling schemes, plus
 // randomized fuzz rows (including narrow/malformed rows that must take the
-// interpreter fallback) and the serve engine's batch/scalar switch.
+// interpreter fallback), the serve engine against the interpreter oracle,
+// and guard.* counters that agree across every consumer of the one
+// GuardExecutor.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "common/telemetry/telemetry.h"
 #include "core/batch_eval.h"
 #include "core/guard.h"
 #include "core/interpreter.h"
 #include "exp/pipeline.h"
+#include "ml/model.h"
 #include "serve/engine.h"
 #include "serve/registry.h"
+#include "sql/executor.h"
 #include "table/column_batch.h"
 #include "table/dataset_repository.h"
 #include "table/error_injector.h"
@@ -322,11 +329,14 @@ TEST(BatchEvalTest, ArmedInterpreterFailpointForcesScalarPath) {
   EXPECT_EQ(outcome.rows_flagged, 0);
 }
 
-// Serve engine: a batch-eval engine and a scalar engine must answer with
-// identical row verdicts, violation counts, and repair details for every
-// scheme — including a batch large enough to take the ParallelFor path.
-TEST(BatchEvalTest, ServeEngineBatchMatchesScalar) {
-  constexpr int kZips = 20;
+// Serve engine: the engine's row verdicts, violation counts and repair
+// details must equal the interpreter oracle — Interpreter::Check for the
+// verdict, Guard::ProcessRow for the repaired row — for every scheme,
+// including a batch large enough to take the ParallelFor path.
+constexpr int kZips = 20;
+
+// Publishes "demo": zip zi determines city ci, for kZips zips.
+void LoadZipProgram(serve::ProgramRegistry* registry) {
   std::string seed_csv = "zip,city\n";
   std::string program_text = "# guardrail-program v1\nGIVEN zip ON city HAVING\n";
   for (int i = 0; i < kZips; ++i) {
@@ -338,19 +348,18 @@ TEST(BatchEvalTest, ServeEngineBatchMatchesScalar) {
   ASSERT_TRUE(doc.ok());
   auto seed_table = Table::FromCsv(*doc);
   ASSERT_TRUE(seed_table.ok()) << seed_table.status().ToString();
-
-  serve::ProgramRegistry registry;
   auto version =
-      registry.LoadFromText("demo", program_text, seed_table->schema());
+      registry->LoadFromText("demo", program_text, seed_table->schema());
   ASSERT_TRUE(version.ok()) << version.status().ToString();
-  ASSERT_NE(registry.Get("demo")->compiled, nullptr);
+  ASSERT_NE(registry->Get("demo")->compiled, nullptr);
+}
 
-  serve::EngineOptions batch_options;
-  batch_options.use_batch_eval = true;
-  serve::EngineOptions scalar_options;
-  scalar_options.use_batch_eval = false;
-  serve::ValidationEngine batch_engine(&registry, batch_options);
-  serve::ValidationEngine scalar_engine(&registry, scalar_options);
+TEST(BatchEvalTest, ServeEngineBatchMatchesScalar) {
+  serve::ProgramRegistry registry;
+  ASSERT_NO_FATAL_FAILURE(LoadZipProgram(&registry));
+  std::shared_ptr<const serve::ProgramSnapshot> snapshot = registry.Get("demo");
+  serve::ValidationEngine engine(&registry, serve::EngineOptions());
+  Guard oracle(&snapshot->program);
 
   Rng rng(0x5E12BEEF);
   for (int rows : {64, 3000}) {  // Inline path and ParallelFor path.
@@ -366,28 +375,139 @@ TEST(BatchEvalTest, ServeEngineBatchMatchesScalar) {
                                    : "c" + std::to_string(city);
       payload += "z" + std::to_string(zip) + "," + city_label + "\n";
     }
+    // Unseen labels extend a copy of the snapshot schema, so the oracle
+    // sees the codes the engine's request-local overlay mints.
+    Schema schema = snapshot->schema;
+    auto decoded = serve::DecodeRows(serve::RowFormat::kCsv, payload,
+                                     &schema, 1 << 20);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     for (ErrorPolicy scheme : kAllPolicies) {
       serve::ValidateRequest request;
       request.dataset = "demo";
       request.scheme = scheme;
       request.payload = payload;
-      serve::ValidateResponse batch = batch_engine.Handle(request);
-      serve::ValidateResponse scalar = scalar_engine.Handle(request);
-      ASSERT_EQ(batch.code, StatusCode::kOk);
-      ASSERT_EQ(scalar.code, StatusCode::kOk);
-      ASSERT_EQ(batch.rows.size(), scalar.rows.size());
-      for (size_t r = 0; r < batch.rows.size(); ++r) {
-        EXPECT_TRUE(batch.rows[r] == scalar.rows[r])
+      serve::ValidateResponse response = engine.Handle(request);
+      ASSERT_EQ(response.code, StatusCode::kOk);
+      ASSERT_EQ(response.rows.size(), decoded->size());
+      for (size_t r = 0; r < decoded->size(); ++r) {
+        const Row& row = (*decoded)[r];
+        serve::RowResult want;
+        const size_t violations = oracle.interpreter().Check(row).size();
+        if (violations > 0) {
+          want.verdict = serve::RowVerdict::kViolation;
+          want.violations = static_cast<uint16_t>(violations);
+        }
+        Result<Row> processed = oracle.ProcessRow(row, scheme);
+        ASSERT_EQ(processed.ok(),
+                  scheme != ErrorPolicy::kRaise || violations == 0);
+        if (processed.ok() && !(*processed == row)) {
+          std::vector<std::string> fields;
+          for (AttrIndex c = 0; c < schema.num_attributes(); ++c) {
+            ValueId v = (*processed)[static_cast<size_t>(c)];
+            fields.push_back(v == kNullValue ? ""
+                                             : schema.attribute(c).label(v));
+          }
+          want.detail = WriteCsvRecord(fields);
+        }
+        const serve::RowResult& got = response.rows[r];
+        EXPECT_TRUE(got == want)
             << "rows=" << rows << " scheme " << core::ErrorPolicyName(scheme)
-            << " row " << r << ": batch {" << int(batch.rows[r].verdict)
-            << ", " << batch.rows[r].violations << ", '"
-            << batch.rows[r].detail << "'} scalar {"
-            << int(scalar.rows[r].verdict) << ", "
-            << scalar.rows[r].violations << ", '" << scalar.rows[r].detail
-            << "'}";
+            << " row " << r << ": engine {" << int(got.verdict) << ", "
+            << got.violations << ", '" << got.detail << "'} oracle {"
+            << int(want.verdict) << ", " << want.violations << ", '"
+            << want.detail << "'}";
       }
     }
   }
+}
+
+// SQL guarded scans need ML_PREDICT only to read the guarded row.
+class ConstantModel : public ml::Model {
+ public:
+  ValueId Predict(const Row&) const override { return 0; }
+  std::vector<double> PredictProbabilities(const Row&) const override {
+    return {1.0};
+  }
+  std::string name() const override { return "constant"; }
+  AttrIndex label_column() const override { return 1; }
+};
+
+// guard.* counters mean one thing under every consumer: the same rows
+// guarded through ProcessTable, a SQL guarded scan and
+// ValidationEngine::Handle move rows_checked (every row read), rows_coerced
+// and rows_rectified by the same amounts.
+TEST(BatchEvalTest, GuardCountersAgreeAcrossConsumers) {
+  serve::ProgramRegistry registry;
+  ASSERT_NO_FATAL_FAILURE(LoadZipProgram(&registry));
+  std::shared_ptr<const serve::ProgramSnapshot> snapshot = registry.Get("demo");
+  Guard guard(&snapshot->program);
+
+  // 3000 rows: several blocks for every consumer, and serve's sharded path.
+  constexpr int kRows = 3000;
+  Table table{snapshot->schema};
+  std::string payload = "zip,city\n";
+  Rng rng(0xC0FFEE);
+  for (int r = 0; r < kRows; ++r) {
+    ValueId zip = static_cast<ValueId>(rng.NextUint64(kZips));
+    ValueId city = rng.NextBernoulli(0.2)
+                       ? static_cast<ValueId>(rng.NextUint64(kZips))
+                       : zip;
+    ASSERT_TRUE(table.AppendRow({zip, city}).ok());
+    payload += snapshot->schema.attribute(0).label(zip) + "," +
+               snapshot->schema.attribute(1).label(city) + "\n";
+  }
+
+  const std::vector<std::string> names = {
+      "guard.rows_checked", "guard.rows_coerced", "guard.rows_rectified"};
+  auto read = [&] {
+    std::vector<int64_t> values;
+    for (const std::string& name : names) {
+      values.push_back(
+          telemetry::MetricsRegistry::Instance().CounterValue(name));
+    }
+    return values;
+  };
+  auto delta = [&](const std::vector<int64_t>& before) {
+    std::vector<int64_t> after = read();
+    for (size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+
+  const bool metrics_were_enabled = telemetry::MetricsEnabled();
+  telemetry::EnableMetrics(true);
+  serve::ValidationEngine engine(&registry, serve::EngineOptions());
+  ConstantModel model;
+  for (ErrorPolicy policy :
+       {ErrorPolicy::kIgnore, ErrorPolicy::kCoerce, ErrorPolicy::kRectify}) {
+    const std::string label = core::ErrorPolicyName(policy);
+
+    std::vector<int64_t> before = read();
+    Table working = table;
+    guard.ProcessTable(&working, policy);
+    const std::vector<int64_t> offline = delta(before);
+
+    sql::Executor executor;
+    executor.RegisterTable("t", &table);
+    executor.RegisterModel("m", &model);
+    executor.SetGuard(&guard, policy);
+    before = read();
+    auto result = executor.Execute("SELECT ML_PREDICT('m') FROM t");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<int64_t> scan = delta(before);
+
+    serve::ValidateRequest request;
+    request.dataset = "demo";
+    request.scheme = policy;
+    request.payload = payload;
+    before = read();
+    ASSERT_EQ(engine.Handle(request).code, StatusCode::kOk);
+    const std::vector<int64_t> served = delta(before);
+
+    EXPECT_EQ(offline[0], kRows) << label;
+    EXPECT_EQ(scan, offline) << label;
+    EXPECT_EQ(served, offline) << label;
+  }
+  telemetry::EnableMetrics(metrics_were_enabled);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,9 +10,12 @@
 #include <vector>
 
 #include "common/csv.h"
+#include "common/math_util.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/telemetry/telemetry.h"
+#include "pgm/ci_test.h"
+#include "pgm/encoded_data.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
@@ -182,6 +187,117 @@ TEST(DriftDetectorTest, FlagsAndLocalizesInjectedShift) {
   }
 }
 
+// The two-sample G² loops the detector ran before it called
+// pgm::G2FromCounts, kept as the oracle for its pair and marginal scores.
+PairDrift OracleScorePair(AttrIndex x, AttrIndex y,
+                          const StatsStore::PairTable& base,
+                          const StatsStore::PairTable& win) {
+  PairDrift out;
+  out.x = x;
+  out.y = y;
+  const double nb = static_cast<double>(base.total);
+  const double nw = static_cast<double>(win.total);
+  const double grand = nb + nw;
+  if (base.total == 0 || win.total == 0) return out;
+  const int32_t cx = std::max(base.card_x, win.card_x);
+  const int32_t cy = std::max(base.card_y, win.card_y);
+  double g2 = 0.0;
+  int64_t support_cells = 0;
+  for (int32_t vx = 0; vx < cx; ++vx) {
+    for (int32_t vy = 0; vy < cy; ++vy) {
+      const double b = static_cast<double>(base.Count(vx, vy));
+      const double w = static_cast<double>(win.Count(vx, vy));
+      const double pooled = b + w;
+      if (pooled <= 0.0) continue;
+      ++support_cells;
+      const double eb = nb * pooled / grand;
+      const double ew = nw * pooled / grand;
+      if (b > 0.0) g2 += b * std::log(b / eb);
+      if (w > 0.0) g2 += w * std::log(w / ew);
+    }
+  }
+  if (support_cells <= 1) return out;
+  out.statistic = 2.0 * g2;
+  out.dof = static_cast<double>(support_cells - 1);
+  out.p_value = ChiSquareSurvival(out.statistic, out.dof);
+  return out;
+}
+
+double OracleMarginalPValue(const std::vector<int64_t>& base,
+                            const std::vector<int64_t>& win) {
+  double nb = 0.0, nw = 0.0;
+  const size_t k = std::max(base.size(), win.size());
+  for (int64_t c : base) nb += static_cast<double>(c);
+  for (int64_t c : win) nw += static_cast<double>(c);
+  const double grand = nb + nw;
+  if (nb <= 0.0 || nw <= 0.0) return 1.0;
+  double g2 = 0.0;
+  int64_t support = 0;
+  for (size_t v = 0; v < k; ++v) {
+    const double b = v < base.size() ? static_cast<double>(base[v]) : 0.0;
+    const double w = v < win.size() ? static_cast<double>(win[v]) : 0.0;
+    const double pooled = b + w;
+    if (pooled <= 0.0) continue;
+    ++support;
+    if (b > 0.0) g2 += b * std::log(b / (nb * pooled / grand));
+    if (w > 0.0) g2 += w * std::log(w / (nw * pooled / grand));
+  }
+  if (support <= 1) return 1.0;
+  return ChiSquareSurvival(2.0 * g2, static_cast<double>(support - 1));
+}
+
+// Pair and marginal scores through the shared G² kernel equal the loops
+// above bit for bit, on drifting SEM windows of several sizes.
+TEST(DriftDetectorTest, ScoresMatchTwoSampleLoopsBitForBit) {
+  DriftOptions options;
+  options.min_pair_rows = 1;
+  DriftDetector detector(options);
+  int64_t pairs_compared = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SemModel sem = DemoSem(seed);
+    Rng rng(seed * 31);
+    const StatsStore baseline = StoreOf(sem.Sample(1500, &rng));
+    SemDriftOptions drift_options;
+    drift_options.changed_fraction = 0.25 * static_cast<double>(seed % 4);
+    SemDriftInfo drifted = MakeDriftedSem(sem, drift_options, &rng);
+    // Tiny windows leave cells and whole categories empty.
+    const StatsStore window =
+        StoreOf(drifted.model.Sample(static_cast<int64_t>(seed) * 40, &rng));
+
+    DriftReport report = detector.Compare(baseline, window);
+    size_t next = 0;
+    for (AttrIndex x = 0; x < baseline.num_attributes(); ++x) {
+      for (AttrIndex y = x + 1; y < baseline.num_attributes(); ++y) {
+        PairDrift want = OracleScorePair(x, y, baseline.pair(x, y),
+                                         window.pair(x, y));
+        if (want.dof <= 0.0) continue;
+        ASSERT_LT(next, report.pairs.size()) << "seed " << seed;
+        const PairDrift& got = report.pairs[next++];
+        EXPECT_EQ(got.x, x);
+        EXPECT_EQ(got.y, y);
+        EXPECT_EQ(got.statistic, want.statistic) << "seed " << seed;
+        EXPECT_EQ(got.dof, want.dof) << "seed " << seed;
+        EXPECT_EQ(got.p_value, want.p_value) << "seed " << seed;
+        ++pairs_compared;
+      }
+    }
+    EXPECT_EQ(next, report.pairs.size()) << "seed " << seed;
+
+    pgm::G2Scratch scratch;
+    for (AttrIndex a = 0; a < baseline.num_attributes(); ++a) {
+      const std::vector<int64_t>& base = baseline.marginal(a);
+      const std::vector<int64_t>& win = window.marginal(a);
+      std::vector<int64_t> cells(2 * std::max(base.size(), win.size()), 0);
+      for (size_t v = 0; v < base.size(); ++v) cells[2 * v] = base[v];
+      for (size_t v = 0; v < win.size(); ++v) cells[2 * v + 1] = win[v];
+      EXPECT_EQ(TestHomogeneity(cells, &scratch).p_value,
+                OracleMarginalPValue(base, win))
+          << "seed " << seed << " attribute " << a;
+    }
+  }
+  EXPECT_GT(pairs_compared, 100);
+}
+
 // ---- IncrementalSynthesizer ---------------------------------------------
 
 IncrementalOptions SmallStreamOptions() {
@@ -290,6 +406,47 @@ TEST(IncrementalTest, ProgramBytesAreThreadCountInvariant) {
 }
 
 // ---- Resynthesis policy -------------------------------------------------
+
+// The refresh ladder's marginal CI tests read baseline + window counts; on
+// drifting batches they must equal GSquareTest scanning the accumulated
+// rows, bit for bit.
+TEST(IncrementalTest, StoreMarginalTestsMatchRowScan) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SemModel sem = DemoSem(seed);
+    Rng rng(seed);
+    IncrementalOptions options = SmallStreamOptions();
+    IncrementalSynthesizer synth(options);
+    ASSERT_TRUE(synth.IngestTable(sem.Sample(600, &rng)).ok());
+    ASSERT_TRUE(synth.Refresh().ok());
+    SemDriftOptions drift_options;
+    drift_options.changed_fraction = 0.5;
+    SemModel drifting = MakeDriftedSem(sem, drift_options, &rng).model;
+    for (int batch = 0; batch < 3; ++batch) {
+      ASSERT_TRUE(synth.IngestTable(drifting.Sample(150, &rng)).ok());
+    }
+
+    const std::vector<pgm::CiResult> tests = synth.MarginalCiTests();
+    const pgm::EncodedData encoded = pgm::EncodeIdentity(synth.data());
+    const pgm::GSquareTest test(&encoded, options.ci);
+    const int32_t n = synth.data().num_columns();
+    ASSERT_EQ(tests.size(), static_cast<size_t>(n * (n - 1) / 2));
+    size_t next = 0;
+    for (AttrIndex x = 0; x < n; ++x) {
+      for (AttrIndex y = x + 1; y < n; ++y) {
+        const pgm::CiResult& got = tests[next++];
+        const pgm::CiResult want = test.Test(x, y, {});
+        const std::string label = "seed " + std::to_string(seed) + " pair (" +
+                                  std::to_string(x) + ", " +
+                                  std::to_string(y) + ")";
+        EXPECT_EQ(got.statistic, want.statistic) << label;
+        EXPECT_EQ(got.p_value, want.p_value) << label;
+        EXPECT_EQ(got.dof, want.dof) << label;
+        EXPECT_EQ(got.independent, want.independent) << label;
+        EXPECT_EQ(got.reliable, want.reliable) << label;
+      }
+    }
+  }
+}
 
 TEST(PolicyTest, ModesGateRefreshAttempts) {
   PolicyOptions interval;
