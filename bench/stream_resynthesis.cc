@@ -11,9 +11,10 @@
 // over the same accumulated rows, minimize + certify included in both.
 //
 // The bench doubles as a correctness gate: it exits nonzero when the drift
-// reaction is not an incremental refresh, when the refreshed program fails
-// the registry's certificate gate, or when the incremental path is not at
-// least kMinSpeedup x faster. Results go to BENCH_stream_resynthesis.json.
+// reaction is not an incremental refresh, when the detector lags more than
+// kMaxDriftLag batches, when the refresh refilled or reused no statement,
+// when the refreshed program fails the registry's certificate gate, or when
+// the incremental path is not at least kMinSpeedup x faster.
 // GUARDRAIL_BENCH_FAST=1 shrinks the relation.
 
 #include <algorithm>
@@ -33,6 +34,7 @@ namespace guardrail {
 namespace {
 
 constexpr double kMinSpeedup = 5.0;
+constexpr int kMaxDriftLag = 10;
 
 // P functional pairs (root card 6 -> child card 6, 1% noise) plus two free
 // roots; chain-free so the ensemble cannot self-contradict and every drift
@@ -178,35 +180,24 @@ int Run() {
               num_pairs, static_cast<long long>(batch_rows));
   table.Print();
 
-  std::string json = "[\n  {\"bench\": \"stream_resynthesis\"";
-  json += ", \"attributes\": " +
-          std::to_string(synth.schema().num_attributes());
-  json += ", \"bootstrap_rows\": " + std::to_string(bootstrap_rows);
-  json += ", \"batch_rows\": " + std::to_string(batch_rows);
-  json += ", \"rows_at_reaction\": " +
-          std::to_string(synth.data().num_rows());
-  json += ", \"bootstrap_ms\": " + bench::Fmt(bootstrap_ms, 3);
-  json += ", \"noop_ms\": " + bench::Fmt(noop_ms, 3);
-  json += ", \"drift_lag_batches\": " + std::to_string(lag_batches);
-  json += ", \"incremental_ms\": " + bench::Fmt(incremental_ms, 3);
-  json += ", \"full_ms\": " + bench::Fmt(full_ms, 3);
-  json += ", \"speedup\": " + bench::Fmt(speedup, 3);
-  json += ", \"statements_refilled\": " +
-          std::to_string(reaction.statements_refilled);
-  json += ", \"statements_reused\": " +
-          std::to_string(reaction.statements_reused);
-  json += "}\n]\n";
-  if (std::FILE* f = std::fopen("BENCH_stream_resynthesis.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_stream_resynthesis.json\n");
-  }
-
   if (speedup < kMinSpeedup) {
     std::fprintf(stderr,
                  "incremental refresh only %.1fx faster than from-scratch "
                  "(acceptance floor: %.0fx)\n",
                  speedup, kMinSpeedup);
+    return 1;
+  }
+  if (lag_batches > kMaxDriftLag) {
+    std::fprintf(stderr, "drift detected after %d batches (bound: %d)\n",
+                 lag_batches, kMaxDriftLag);
+    return 1;
+  }
+  if (reaction.statements_refilled == 0 || reaction.statements_reused == 0) {
+    std::fprintf(stderr,
+                 "incremental refresh refilled %lld and reused %lld "
+                 "statement(s); both must be nonzero\n",
+                 static_cast<long long>(reaction.statements_refilled),
+                 static_cast<long long>(reaction.statements_reused));
     return 1;
   }
   return 0;

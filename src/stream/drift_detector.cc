@@ -71,8 +71,7 @@ DriftReport DriftDetector::Compare(const StatsStore& baseline,
       drift.dof = score.dof;
       drift.p_value = score.p_value;
       ++scorable;
-      drift.drifted = drift.p_value < options_.alpha &&
-                      drift.statistic >= options_.min_statistic;
+      drift.drifted = drift.p_value < options_.alpha;
       report.max_statistic = std::max(report.max_statistic, drift.statistic);
       report.min_p_value = std::min(report.min_p_value, drift.p_value);
       if (drift.drifted) {

@@ -19,9 +19,6 @@ struct DriftOptions {
   /// test's alpha — a refresh costs synthesis work, so only confident shifts
   /// should trigger one.
   double alpha = 1e-4;
-  /// Additionally require at least this G² statistic, guarding against
-  /// astronomically significant but practically tiny shifts on huge windows.
-  double min_statistic = 0.0;
   /// A pair is scored only when the window counted at least this many rows
   /// for it; below that the test has no power and the pair reads as clean.
   int64_t min_pair_rows = 64;

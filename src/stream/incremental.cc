@@ -17,6 +17,10 @@ namespace stream {
 
 namespace {
 
+// Seed for the synthesizer's auxiliary-pairing shuffle. Fixed so that a
+// refresh over identical data reproduces identical bytes.
+constexpr uint64_t kSynthesisSeed = 7;
+
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -70,12 +74,13 @@ Status IncrementalSynthesizer::IngestTable(const Table& batch) {
         "ingest batch width " + std::to_string(batch.num_columns()) +
         " does not match stream width " + std::to_string(n));
   }
-  const int64_t begin = data_.num_rows();
   // Batches arrive independently dictionary-coded; translate through labels
   // so codes agree with the accumulated schema (extending domains as new
   // labels appear in the stream).
-  Row row(static_cast<size_t>(n));
+  std::vector<Row> rows(static_cast<size_t>(batch.num_rows()),
+                        Row(static_cast<size_t>(n)));
   for (int64_t r = 0; r < batch.num_rows(); ++r) {
+    Row& row = rows[static_cast<size_t>(r)];
     for (AttrIndex c = 0; c < n; ++c) {
       const ValueId v = batch.Get(r, c);
       row[static_cast<size_t>(c)] =
@@ -84,14 +89,8 @@ Status IncrementalSynthesizer::IngestTable(const Table& batch) {
               : data_.mutable_schema().attribute(c).GetOrInsert(
                     batch.schema().attribute(c).label(v));
     }
-    Status appended = data_.AppendRow(row);
-    if (!appended.ok()) return appended;
   }
-  if (window_.num_attributes() != n) window_.Reset(n);
-  if (baseline_.num_attributes() != n) baseline_.Reset(n);
-  window_.IngestTable(data_, begin, data_.num_rows() - begin);
-  GUARDRAIL_COUNTER_ADD("stream.ingest.rows", batch.num_rows());
-  return Status::OK();
+  return IngestRows(rows);
 }
 
 Status IncrementalSynthesizer::IngestRows(const std::vector<Row>& rows) {
@@ -157,7 +156,7 @@ Result<RefreshResult> IncrementalSynthesizer::FullResynthesis(
   out.reason = std::move(reason);
 
   const core::Synthesizer synthesizer(options_.synthesis);
-  Rng rng(options_.seed);
+  Rng rng(kSynthesisSeed);
   core::SynthesisReport report = synthesizer.Synthesize(data_, &rng);
 
   // The ensemble (union of member-DAG programs) is the shape replayed by
@@ -180,7 +179,7 @@ Result<RefreshResult> IncrementalSynthesizer::FullResynthesis(
   }
   out.ci_tests_rerun += static_cast<int64_t>(baseline_ci_verdicts_.size());
 
-  if (options_.serve_minimized && report.minimized) {
+  if (report.minimized) {
     Publish(report.minimization.program, report.minimization.certificate,
             &out);
   } else {
@@ -317,14 +316,10 @@ Result<RefreshResult> IncrementalSynthesizer::Refresh(bool force_full) {
   }
   core::CanonicalizeProgramOrder(&ensemble);
 
-  if (options_.serve_minimized) {
-    auto minimized = analysis::MinimizeProgram(
-        ensemble, data_.schema(), options_.synthesis.minimize_options);
-    if (!minimized.ok()) return minimized.status();
-    Publish(minimized->program, minimized->certificate, &out);
-  } else {
-    Publish(ensemble, "", &out);
-  }
+  auto minimized = analysis::MinimizeProgram(
+      ensemble, data_.schema(), options_.synthesis.minimize_options);
+  if (!minimized.ok()) return minimized.status();
+  Publish(minimized->program, minimized->certificate, &out);
 
   baseline_.Merge(window_);
   window_.Reset(data_.num_columns());

@@ -26,12 +26,6 @@ struct IncrementalOptions {
   /// Marginal CI-test configuration for the verdict-flip check (raw-data
   /// identity space; see Refresh).
   pgm::GSquareTest::Options ci;
-  /// Serve the certified-minimized ensemble (the registry's publish gate
-  /// then requires the certificate). Off serves the raw chosen program.
-  bool serve_minimized = true;
-  /// Seed for the synthesizer's auxiliary-pairing shuffle. Fixed so that a
-  /// refresh over identical data reproduces identical bytes.
-  uint64_t seed = 7;
 };
 
 /// What a Refresh call did.
@@ -57,8 +51,7 @@ struct RefreshResult {
   DriftReport drift;
   /// Serialized program after the refresh (unchanged bytes on kNoop/kNone).
   std::string program_text;
-  /// Companion minimization certificate ("" when serve_minimized is off or
-  /// minimization was skipped).
+  /// Companion minimization certificate ("" when minimization was skipped).
   std::string certificate_text;
   /// True when program_text differs from the previously served bytes — the
   /// caller should hot-publish through the registry iff this is set.
@@ -92,9 +85,9 @@ class IncrementalSynthesizer {
  public:
   explicit IncrementalSynthesizer(IncrementalOptions options);
 
-  /// Appends a batch of rows (label-resolved against the accumulated
-  /// schema, so independently coded batches merge correctly) and counts
-  /// them into the current window.
+  /// Translates a batch's labels into the accumulated schema (so
+  /// independently coded batches merge correctly) and ingests the rows with
+  /// IngestRows. The first non-empty batch seeds the schema.
   Status IngestTable(const Table& batch);
 
   /// Appends rows already dictionary-coded against schema() (the wire path:

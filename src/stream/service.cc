@@ -1,12 +1,12 @@
 #include "stream/service.h"
 
+#include <string_view>
 #include <utility>
 
 #include "common/csv.h"
 #include "common/logging.h"
 #include "common/telemetry/telemetry.h"
-#include "serve/engine.h"
-#include "table/table.h"
+#include "serve/decode.h"
 
 namespace guardrail {
 namespace stream {
@@ -27,7 +27,75 @@ serve::IngestAction ToWire(RefreshAction action) {
   return serve::IngestAction::kNone;
 }
 
+// Collects a CSV payload's first record: the header a fresh stream takes
+// its schema from.
+class HeaderSink : public CsvSink {
+ public:
+  void Field(std::string_view value) override {
+    if (!done_) header.emplace_back(value);
+  }
+  void EndRecord() override { done_ = true; }
+
+  std::vector<std::string> header;
+
+ private:
+  bool done_ = false;
+};
+
 }  // namespace
+
+DatasetStream::DatasetStream(const StreamServiceOptions& options)
+    : synth_(options.incremental),
+      policy_(options.policy),
+      max_batch_rows_(options.max_batch_rows),
+      bootstrap_rows_(options.bootstrap_rows) {}
+
+Result<std::vector<Row>> DatasetStream::Decode(
+    const serve::IngestRequest& request) {
+  if (synth_.schema().num_attributes() > 0) {
+    return serve::DecodeRows(request.format, request.payload,
+                             &synth_.mutable_schema(), max_batch_rows_);
+  }
+  if (request.format != serve::RowFormat::kCsv) {
+    return Status::InvalidArgument(
+        "JSON ingest needs an existing schema; publish a program for this "
+        "dataset or send the first batch as CSV");
+  }
+  HeaderSink sink;
+  GUARDRAIL_RETURN_NOT_OK(ScanCsv(request.payload, &sink));
+  Schema schema;
+  for (const std::string& name : sink.header) {
+    GUARDRAIL_RETURN_NOT_OK(schema.AddAttribute(Attribute(name)));
+  }
+  GUARDRAIL_ASSIGN_OR_RETURN(
+      std::vector<Row> rows,
+      serve::DecodeRows(request.format, request.payload, &schema,
+                        max_batch_rows_));
+  synth_.SeedSchema(schema);
+  return rows;
+}
+
+Result<DatasetStream::Outcome> DatasetStream::Ingest(
+    const serve::IngestRequest& request) {
+  GUARDRAIL_ASSIGN_OR_RETURN(std::vector<Row> rows, Decode(request));
+  GUARDRAIL_RETURN_NOT_OK(synth_.IngestRows(rows));
+  Outcome outcome;
+  outcome.rows_ingested = static_cast<int64_t>(rows.size());
+
+  ++batches_since_refresh_;
+  const bool manual = request.force_refresh;
+  // Bootstrap once enough rows accumulated for a meaningful first synthesis
+  // (or on an explicit trigger); after that the policy decides.
+  const bool attempt =
+      synth_.bootstrapped()
+          ? policy_.ShouldRefresh(batches_since_refresh_, manual)
+          : manual || synth_.rows_ingested() >= bootstrap_rows_;
+  if (!attempt) return outcome;
+  batches_since_refresh_ = 0;
+  GUARDRAIL_ASSIGN_OR_RETURN(outcome.refresh,
+                             synth_.Refresh(manual && synth_.bootstrapped()));
+  return outcome;
+}
 
 StreamService::StreamService(serve::ProgramRegistry* registry,
                              StreamServiceOptions options)
@@ -38,16 +106,11 @@ int64_t StreamService::active_streams() const {
   return static_cast<int64_t>(streams_.size());
 }
 
-StreamService::DatasetStream* StreamService::GetOrCreate(
-    const std::string& dataset) {
+StreamService::Entry* StreamService::GetOrCreate(const std::string& dataset) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(dataset);
   if (it == streams_.end()) {
-    it = streams_
-             .emplace(dataset,
-                      std::make_unique<DatasetStream>(options_.incremental,
-                                                      options_.policy))
-             .first;
+    it = streams_.emplace(dataset, std::make_unique<Entry>(options_)).first;
   }
   return it->second.get();
 }
@@ -60,119 +123,53 @@ serve::IngestResponse StreamService::HandleIngest(
     response.error = "ingest request names no dataset";
     return response;
   }
-  DatasetStream* stream = GetOrCreate(request.dataset);
-  std::lock_guard<std::mutex> lock(stream->mu);
+  Entry* entry = GetOrCreate(request.dataset);
+  std::lock_guard<std::mutex> lock(entry->mu);
   GUARDRAIL_COUNTER_INC("stream.ingest.batches");
+  auto fail = [&](const Status& status) {
+    response.code = status.code();
+    response.error = status.message();
+    response.program_version = entry->served_version;
+    return response;
+  };
 
   // A fresh stream adopts the served schema when the dataset already has a
   // published program (the wire row layout must agree with validation);
   // otherwise the first CSV batch's header defines it.
-  if (stream->synth.schema().num_attributes() == 0) {
+  if (entry->stream.synth().schema().num_attributes() == 0) {
     if (auto snapshot = registry_->Get(request.dataset)) {
-      stream->synth.SeedSchema(snapshot->schema);
-      stream->served_version = snapshot->version;
+      entry->stream.SeedSchema(snapshot->schema);
+      entry->served_version = snapshot->version;
     }
   }
 
-  if (stream->synth.schema().num_attributes() > 0) {
-    Result<std::vector<Row>> rows =
-        serve::DecodeRows(request.format, request.payload,
-                          &stream->synth.mutable_schema(),
-                          options_.max_batch_rows);
-    if (!rows.ok()) {
-      response.code = rows.status().code();
-      response.error = rows.status().message();
-      return response;
-    }
-    Status ingested = stream->synth.IngestRows(*rows);
-    if (!ingested.ok()) {
-      response.code = ingested.code();
-      response.error = ingested.message();
-      return response;
-    }
-    response.rows_ingested = static_cast<uint64_t>(rows->size());
-  } else {
-    if (request.format != serve::RowFormat::kCsv) {
-      response.code = StatusCode::kInvalidArgument;
-      response.error =
-          "JSON ingest needs an existing schema; publish a program for this "
-          "dataset or send the first batch as CSV";
-      return response;
-    }
-    Result<CsvDocument> doc = ParseCsv(request.payload);
-    if (!doc.ok()) {
-      response.code = doc.status().code();
-      response.error = doc.status().message();
-      return response;
-    }
-    if (static_cast<int64_t>(doc->rows.size()) > options_.max_batch_rows) {
-      response.code = StatusCode::kInvalidArgument;
-      response.error = "batch of " + std::to_string(doc->rows.size()) +
-                       " row(s) exceeds the per-request cap of " +
-                       std::to_string(options_.max_batch_rows);
-      return response;
-    }
-    Result<Table> batch = Table::FromCsv(*doc);
-    if (!batch.ok()) {
-      response.code = batch.status().code();
-      response.error = batch.status().message();
-      return response;
-    }
-    Status ingested = stream->synth.IngestTable(*batch);
-    if (!ingested.ok()) {
-      response.code = ingested.code();
-      response.error = ingested.message();
-      return response;
-    }
-    response.rows_ingested = static_cast<uint64_t>(batch->num_rows());
-  }
-
-  ++stream->batches_since_refresh;
-  const bool manual = request.force_refresh;
-  bool attempt;
-  if (!stream->synth.bootstrapped()) {
-    // Bootstrap once enough rows accumulated for a meaningful first
-    // synthesis (or on an explicit trigger).
-    attempt = manual ||
-              stream->synth.rows_ingested() >= options_.bootstrap_rows;
-  } else {
-    attempt = stream->policy.ShouldRefresh(stream->batches_since_refresh,
-                                           manual);
-  }
-  if (attempt) {
-    stream->batches_since_refresh = 0;
-    const bool force_full = manual && stream->synth.bootstrapped();
-    Result<RefreshResult> refreshed = stream->synth.Refresh(force_full);
-    if (!refreshed.ok()) {
-      response.code = refreshed.status().code();
-      response.error = refreshed.status().message();
-      response.program_version = stream->served_version;
-      return response;
-    }
+  Result<DatasetStream::Outcome> outcome = entry->stream.Ingest(request);
+  if (!outcome.ok()) return fail(outcome.status());
+  response.rows_ingested = static_cast<uint64_t>(outcome->rows_ingested);
+  if (const std::optional<RefreshResult>& refreshed = outcome->refresh) {
     response.action = ToWire(refreshed->action);
     response.drift_score = refreshed->drift.max_statistic;
-    if (refreshed->published_changed) {
+    if (refreshed->published_changed || entry->publish_pending) {
       Result<uint64_t> version = registry_->LoadFromText(
-          request.dataset, refreshed->program_text, stream->synth.schema(),
-          "stream://" + request.dataset, refreshed->certificate_text);
+          request.dataset, refreshed->program_text,
+          entry->stream.synth().schema(), "stream://" + request.dataset,
+          refreshed->certificate_text);
+      entry->publish_pending = !version.ok();
       if (!version.ok()) {
-        // The refreshed program failed the registry's analyzer/certificate
-        // gate; the previous version stays live (same contract as a bad
-        // watch-dir reload).
+        // The registry refused the program (analyzer/certificate gate or a
+        // failed load); the previous version stays live, as for a bad
+        // watch-dir reload, and the next refresh attempt retries.
         GUARDRAIL_LOG(WARN) << "stream publish refused for '"
                             << request.dataset
                             << "': " << version.status().message();
-        response.code = version.status().code();
-        response.error = version.status().message();
-        response.program_version = stream->served_version;
-        return response;
+        return fail(version.status());
       }
-      stream->served_version = *version;
+      entry->served_version = *version;
       response.published = true;
       GUARDRAIL_COUNTER_INC("stream.resynth.published");
     }
   }
-  response.program_version = stream->served_version;
+  response.program_version = entry->served_version;
   return response;
 }
 

@@ -549,6 +549,104 @@ StreamServiceOptions SmallServiceOptions() {
   return options;
 }
 
+// ---- DatasetStream ------------------------------------------------------
+
+// A CSV batch with labels that need quoting (commas, quotes, embedded
+// newlines), empty fields and a header name with a comma; every label
+// repeats across rows.
+std::string AwkwardCsv(int64_t rows, uint64_t seed) {
+  Rng rng(seed);
+  CsvDocument doc = DemoSem().Sample(rows, &rng).ToCsv();
+  doc.header[2] = "a2, \"quoted\"";
+  const std::string emptied = doc.rows[0][4];
+  for (std::vector<std::string>& record : doc.rows) {
+    record[0] += ", \"q\"";
+    record[1] += "\nsecond line";
+    if (record[4] == emptied) record[4].clear();
+  }
+  return WriteCsv(doc);
+}
+
+// A fresh stream takes its schema from the first CSV batch's header and
+// decodes that batch through serve::DecodeRows like every later one; the
+// result must equal the offline Table::FromCsv + IngestTable path.
+TEST(DatasetStreamTest, FirstCsvBatchMatchesOfflineTable) {
+  const std::string payload = AwkwardCsv(600, 51);
+  auto doc = ParseCsv(payload);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto table = Table::FromCsv(*doc);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  StreamServiceOptions options = SmallServiceOptions();
+  options.bootstrap_rows = int64_t{1} << 20;  // Ingest only.
+  IncrementalSynthesizer offline(options.incremental);
+  ASSERT_TRUE(offline.IngestTable(*table).ok());
+
+  DatasetStream step(options);
+  serve::IngestRequest request;
+  request.payload = payload;
+  auto outcome = step.Ingest(request);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->rows_ingested, 600);
+  EXPECT_FALSE(outcome->refresh.has_value());
+
+  const Schema& got = step.synth().schema();
+  const Schema& want = offline.schema();
+  ASSERT_EQ(got.num_attributes(), want.num_attributes());
+  for (AttrIndex a = 0; a < want.num_attributes(); ++a) {
+    EXPECT_EQ(got.attribute(a).name(), want.attribute(a).name());
+    EXPECT_EQ(got.attribute(a).domain(), want.attribute(a).domain())
+        << "attribute " << a;
+  }
+  EXPECT_NE(want.attribute(4).Lookup(""), kNullValue)
+      << "the fixture lost its empty labels";
+  ASSERT_EQ(step.synth().rows_ingested(), offline.rows_ingested());
+  for (RowIndex r = 0; r < offline.rows_ingested(); ++r) {
+    ASSERT_EQ(step.synth().data().GetRow(r), offline.data().GetRow(r))
+        << "row " << r;
+  }
+  EXPECT_EQ(step.synth().window().ContentHash(),
+            offline.window().ContentHash());
+
+  // The bootstrap over those rows publishes the same bytes.
+  DatasetStream forced(options);
+  request.force_refresh = true;
+  auto booted = forced.Ingest(request);
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  ASSERT_TRUE(booted->refresh.has_value());
+  EXPECT_EQ(booted->refresh->action, RefreshAction::kFull);
+  auto offline_boot = offline.Refresh();
+  ASSERT_TRUE(offline_boot.ok()) << offline_boot.status().ToString();
+  EXPECT_FALSE(offline_boot->program_text.empty());
+  EXPECT_EQ(booted->refresh->program_text, offline_boot->program_text);
+  EXPECT_EQ(booted->refresh->certificate_text,
+            offline_boot->certificate_text);
+}
+
+// End of file: a stream shorter than bootstrap_rows bootstraps when its last
+// batch carries force_refresh (the rule `guardrail stream` replays with).
+TEST(DatasetStreamTest, ShortStreamBootstrapsOnForcedLastBatch) {
+  Rng rng(52);
+  Table rows = DemoSem().Sample(200, &rng);
+  DatasetStream step(SmallServiceOptions());  // bootstrap_rows = 400.
+  serve::IngestRequest request;
+  request.payload = CsvOf(rows, 0, 100);
+  auto first = step.Ingest(request);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->refresh.has_value())
+      << "100 rows are below the bootstrap floor";
+  EXPECT_FALSE(step.synth().bootstrapped());
+
+  request.payload = CsvOf(rows, 100, 100);
+  request.force_refresh = true;
+  auto last = step.Ingest(request);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  ASSERT_TRUE(last->refresh.has_value());
+  EXPECT_EQ(last->refresh->action, RefreshAction::kFull);
+  EXPECT_TRUE(last->refresh->published_changed);
+  EXPECT_TRUE(step.synth().bootstrapped());
+  EXPECT_EQ(step.synth().rows_ingested(), 200);
+}
+
 TEST(StreamServiceTest, IngestWithoutHandlerIsNotImplemented) {
   serve::ProgramRegistry registry;
   serve::ValidationEngine engine(&registry, serve::EngineOptions{});
@@ -672,6 +770,46 @@ TEST(StreamServiceTest, EndToEndInjectedShiftAdvancesVersion) {
   auto snapshot = registry.Get("demo");
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->version, final_version);
+}
+
+// A publish the registry refuses stays pending: the next refresh attempt
+// retries it even though a clean batch leaves the program bytes unchanged.
+TEST(StreamServiceTest, RefusedPublishIsRetried) {
+  SemModel sem = DemoSem();
+  Rng rng(45);
+  Table rows = sem.Sample(1600, &rng);
+  serve::ProgramRegistry registry;
+  StreamService service(&registry, SmallServiceOptions());
+  serve::IngestRequest request;
+  request.dataset = "demo";
+  request.payload = CsvOf(rows, 0, 400);
+  {
+    ScopedFailpoint refuse("serve.registry_load");
+    const serve::IngestResponse booted = service.HandleIngest(request);
+    EXPECT_EQ(booted.code, StatusCode::kInternal) << booted.error;
+    EXPECT_FALSE(booted.published);
+    EXPECT_EQ(booted.program_version, 0u);
+    EXPECT_EQ(registry.Get("demo"), nullptr);
+  }
+
+  request.payload = CsvOf(rows, 400, 400);
+  const serve::IngestResponse retried = service.HandleIngest(request);
+  ASSERT_EQ(retried.code, StatusCode::kOk) << retried.error;
+  EXPECT_EQ(retried.action, serve::IngestAction::kNoop);
+  EXPECT_TRUE(retried.published);
+  EXPECT_EQ(retried.program_version, 1u);
+  auto snapshot = registry.Get("demo");
+  ASSERT_NE(snapshot, nullptr) << "the refused bootstrap was never retried";
+  EXPECT_EQ(snapshot->version, 1u);
+
+  // Once live, clean batches publish nothing more.
+  for (int64_t begin = 800; begin < rows.num_rows(); begin += 400) {
+    request.payload = CsvOf(rows, begin, 400);
+    const serve::IngestResponse response = service.HandleIngest(request);
+    ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
+    EXPECT_FALSE(response.published);
+    EXPECT_EQ(response.program_version, 1u);
+  }
 }
 
 TEST(StreamServiceTest, SurvivesConnectionDropChaos) {

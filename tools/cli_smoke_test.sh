@@ -150,6 +150,20 @@ if "$BIN" profile "$DIR/data.csv" --log-level=shouty > /dev/null 2>&1; then
   exit 1
 fi
 
+# Local stream replay (docs/STREAMING.md): three batches run the daemon's
+# ingest step in-process. 16 rows never reach the bootstrap floor, so the
+# last batch bootstraps; the final program loads and vets like any other.
+"$BIN" stream "$DIR/data.csv" --batch-rows=6 --out="$DIR/stream.grl" \
+  > "$DIR/stream.log"
+grep -q "^batch 2 (16 rows in): full |" "$DIR/stream.log"
+grep -q "reason: bootstrap" "$DIR/stream.log"
+"$BIN" check "$DIR/stream.grl" "$DIR/data.csv" | grep -q "0 violation"
+if "$BIN" check "$DIR/stream.grl" "$DIR/dirty.csv" > "$DIR/stream_dirty.log"; then
+  echo "expected nonzero exit for violations under the streamed program" >&2
+  exit 1
+fi
+grep -q "gibbon" "$DIR/stream_dirty.log"
+
 # Serving round trip (docs/SERVING.md): serve a program directory, validate
 # clean and dirty batches over TCP, then drain on SIGTERM.
 mkdir "$DIR/programs"

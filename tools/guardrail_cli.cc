@@ -47,11 +47,13 @@
 //   guardrail stream <data.csv> --endpoint=host:port --dataset=NAME
 //       [--batch-rows=N] [--force-refresh]
 //       Replay a CSV as a stream of ingest batches. Without --endpoint the
-//       replay runs in-process (bootstrap, drift scoring, incremental or
-//       full refreshes are reported per batch and the final program is
-//       printed or written to --out). With --endpoint each batch is sent as
-//       an IngestBatch frame to a daemon running with --ingest.
-//       --force-refresh forces a full resynthesis on the final batch.
+//       replay runs the daemon's ingest step in-process (bootstrap, drift
+//       scoring, incremental or full refreshes are reported per batch and
+//       the final program is printed or written to --out); a stream shorter
+//       than the bootstrap floor bootstraps on its final batch. With
+//       --endpoint each batch is sent as an IngestBatch frame to a daemon
+//       running with --ingest. --force-refresh forces a full resynthesis on
+//       the final batch.
 //   guardrail validate <host:port> <dataset> <data.csv>
 //       [--scheme=raise|ignore|coerce|rectify] [--format=csv|json]
 //       [--time-budget-ms=N]
@@ -338,8 +340,7 @@ void HandleStopSignal(int) { g_serve_stop.store(true); }
 
 int CmdServe(const std::string& programs_dir, int port, int queue_depth,
              int reload_ms, bool ingest,
-             const stream::PolicyOptions& policy_options,
-             const stream::DriftOptions& drift_options, int num_threads) {
+             const stream::StreamServiceOptions& stream_options) {
   serve::ProgramRegistry registry;
   serve::EngineOptions engine_options;
   if (queue_depth > 0) engine_options.max_inflight = queue_depth;
@@ -355,12 +356,6 @@ int CmdServe(const std::string& programs_dir, int port, int queue_depth,
   // the same registry the Validate path reads.
   std::unique_ptr<stream::StreamService> stream_service;
   if (ingest) {
-    stream::StreamServiceOptions stream_options;
-    stream_options.policy = policy_options;
-    stream_options.incremental.drift = drift_options;
-    if (num_threads > 0) {
-      stream_options.incremental.synthesis.num_threads = num_threads;
-    }
     stream_service =
         std::make_unique<stream::StreamService>(&registry, stream_options);
     options.ingest_handler =
@@ -377,7 +372,7 @@ int CmdServe(const std::string& programs_dir, int port, int queue_depth,
   std::printf("%zu dataset(s) loaded\n", registry.List().size());
   if (ingest) {
     std::printf("ingest enabled (resynthesis policy: %s)\n",
-                stream::ResynthesisModeName(policy_options.mode));
+                stream::ResynthesisModeName(stream_options.policy.mode));
   }
   std::fflush(stdout);
 
@@ -403,71 +398,33 @@ const char* IngestActionName(serve::IngestAction action) {
   return "?";
 }
 
-// Remote half of `guardrail stream`: slice the CSV into batches and send
-// each as a protocol-v3 IngestBatch frame to a daemon running --ingest.
-int StreamRemote(const CsvDocument& doc, int64_t batch_rows,
-                 const std::string& endpoint, const std::string& dataset,
-                 bool force_refresh) {
-  size_t colon = endpoint.rfind(':');
-  double port = 0;
-  if (colon == std::string::npos || colon == 0 ||
-      !ParseDouble(endpoint.substr(colon + 1), &port) || port < 1 ||
-      port > 65535) {
-    return Fail(Status::InvalidArgument("endpoint must be host:port, got '" +
-                                        endpoint + "'"));
-  }
-  const std::string host = endpoint.substr(0, colon);
-
-  const int64_t total = static_cast<int64_t>(doc.rows.size());
-  int64_t batch_id = 0;
-  for (int64_t begin = 0; begin < total; begin += batch_rows) {
-    const int64_t count = std::min(batch_rows, total - begin);
-    CsvDocument slice;
-    slice.header = doc.header;
-    slice.rows.assign(doc.rows.begin() + begin,
-                      doc.rows.begin() + begin + count);
-    serve::IngestRequest request;
-    request.dataset = dataset;
-    request.force_refresh = force_refresh && begin + count >= total;
-    request.payload = WriteCsv(slice);
-    // A feeder must outlive flaky transport: reconnect and resend on any
-    // transport error (a batch that died before its response may or may not
-    // have been ingested — resending is the at-least-once contract the
-    // stream-side statistics are robust to at these batch sizes).
-    Result<serve::IngestResponse> response = Status::OK();
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      auto client = serve::Client::Connect(host, static_cast<int>(port));
-      if (!client.ok()) {
-        response = client.status();
-        continue;
-      }
-      response = client->Ingest(request);
-      if (response.ok()) break;
+// Sends one batch to a daemon running --ingest. A feeder must outlive flaky
+// transport: reconnect and resend on any transport error (a batch that died
+// before its response may or may not have been ingested — resending is the
+// at-least-once contract the stream-side statistics are robust to at these
+// batch sizes).
+Result<serve::IngestResponse> SendIngest(const std::string& host, int port,
+                                         const serve::IngestRequest& request) {
+  Result<serve::IngestResponse> response = Status::OK();
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    auto client = serve::Client::Connect(host, port);
+    if (!client.ok()) {
+      response = client.status();
+      continue;
     }
-    if (!response.ok()) return Fail(response.status());
-    if (response->code != StatusCode::kOk) {
-      std::fprintf(stderr, "server error on batch %lld: %s\n",
-                   static_cast<long long>(batch_id),
-                   response->error.c_str());
-      return 2;
-    }
-    std::printf("batch %lld: %llu row(s) -> %s | drift G2 %.2f | version "
-                "%llu%s\n",
-                static_cast<long long>(batch_id),
-                static_cast<unsigned long long>(response->rows_ingested),
-                IngestActionName(response->action), response->drift_score,
-                static_cast<unsigned long long>(response->program_version),
-                response->published ? " [published]" : "");
-    ++batch_id;
+    response = client->Ingest(request);
+    if (response.ok()) break;
   }
-  return 0;
+  return response;
 }
 
+// Slices the CSV into batches and feeds each to the daemon's ingest step:
+// in-process (local replay), or as a protocol-v3 IngestBatch frame to the
+// daemon at `endpoint`.
 int CmdStream(const std::string& data_path, int64_t batch_rows,
-              const stream::PolicyOptions& policy_options,
-              const stream::DriftOptions& drift_options, bool force_refresh,
-              const std::string& endpoint, const std::string& dataset,
-              const std::string& out_path, int num_threads) {
+              const stream::StreamServiceOptions& stream_options,
+              bool force_refresh, const std::string& endpoint,
+              const std::string& dataset, const std::string& out_path) {
   auto doc = ReadCsvFile(data_path);
   if (!doc.ok()) return Fail(doc.status());
   const int64_t total = static_cast<int64_t>(doc->rows.size());
@@ -475,106 +432,86 @@ int CmdStream(const std::string& data_path, int64_t batch_rows,
     return Fail(Status::InvalidArgument("no data rows in " + data_path));
   }
   if (batch_rows <= 0) batch_rows = 256;
-
-  if (!endpoint.empty()) {
-    return StreamRemote(*doc, batch_rows, endpoint, dataset, force_refresh);
+  const bool remote = !endpoint.empty();
+  const size_t colon = endpoint.rfind(':');
+  double port = 0;
+  if (remote && (colon == std::string::npos || colon == 0 ||
+                 !ParseDouble(endpoint.substr(colon + 1), &port) ||
+                 port < 1 || port > 65535)) {
+    return Fail(Status::InvalidArgument("endpoint must be host:port, got '" +
+                                        endpoint + "'"));
   }
 
-  // Local replay: the full streaming loop in-process — bootstrap, per-batch
-  // drift scoring, incremental/full refreshes — without a daemon.
-  stream::IncrementalOptions incremental;
-  incremental.drift = drift_options;
-  if (num_threads > 0) incremental.synthesis.num_threads = num_threads;
-  stream::IncrementalSynthesizer synth(incremental);
-  stream::ResynthesisPolicy policy(policy_options);
-
-  constexpr int64_t kBootstrapRows = 256;
+  stream::DatasetStream step(stream_options);
   int64_t batch_id = 0;
-  int64_t batches_since_refresh = 0;
-  for (int64_t begin = 0; begin < total; begin += batch_rows) {
+  for (int64_t begin = 0; begin < total; begin += batch_rows, ++batch_id) {
     const int64_t count = std::min(batch_rows, total - begin);
+    const bool last = begin + count >= total;
     CsvDocument slice;
     slice.header = doc->header;
     slice.rows.assign(doc->rows.begin() + begin,
                       doc->rows.begin() + begin + count);
-    // Each batch is dictionary-coded independently and label-merged on
-    // ingest, exactly like wire batches from independent producers.
-    auto batch = Table::FromCsv(slice);
-    if (!batch.ok()) return Fail(batch.status());
-    Status ingested = synth.IngestTable(*batch);
-    if (!ingested.ok()) return Fail(ingested);
-    ++batches_since_refresh;
-    const bool last = begin + count >= total;
-
-    bool attempt;
-    if (!synth.bootstrapped()) {
-      attempt = last || synth.rows_ingested() >= kBootstrapRows;
-    } else {
-      attempt = policy.ShouldRefresh(batches_since_refresh,
-                                     force_refresh && last);
-    }
-    if (attempt) {
-      batches_since_refresh = 0;
-      const bool force_full = force_refresh && last && synth.bootstrapped();
-      auto result = synth.Refresh(force_full);
-      if (!result.ok()) return Fail(result.status());
-      std::printf(
-          "batch %lld (%lld rows in): %s | drifted pairs %zu | max G2 %.2f "
-          "| refilled %lld reused %lld | %.3fs%s\n",
-          static_cast<long long>(batch_id),
-          static_cast<long long>(synth.rows_ingested()),
-          stream::RefreshActionName(result->action),
-          result->drift.drifted.size(), result->drift.max_statistic,
-          static_cast<long long>(result->statements_refilled),
-          static_cast<long long>(result->statements_reused),
-          result->seconds, result->published_changed ? " [published]" : "");
-      if (!result->reason.empty() &&
-          result->action != stream::RefreshAction::kNoop) {
-        std::printf("  reason: %s\n", result->reason.c_str());
+    serve::IngestRequest request;
+    request.dataset = dataset;
+    request.payload = WriteCsv(slice);
+    if (remote) {
+      request.force_refresh = force_refresh && last;
+      auto response = SendIngest(endpoint.substr(0, colon),
+                                 static_cast<int>(port), request);
+      if (!response.ok()) return Fail(response.status());
+      if (response->code != StatusCode::kOk) {
+        std::fprintf(stderr, "server error on batch %lld: %s\n",
+                     static_cast<long long>(batch_id),
+                     response->error.c_str());
+        return 2;
       }
+      std::printf("batch %lld: %llu row(s) -> %s | drift G2 %.2f | version "
+                  "%llu%s\n",
+                  static_cast<long long>(batch_id),
+                  static_cast<unsigned long long>(response->rows_ingested),
+                  IngestActionName(response->action), response->drift_score,
+                  static_cast<unsigned long long>(response->program_version),
+                  response->published ? " [published]" : "");
+      continue;
     }
-    ++batch_id;
+    // A stream still short of the bootstrap floor bootstraps on its last
+    // batch.
+    request.force_refresh =
+        last && (force_refresh || !step.synth().bootstrapped());
+    auto outcome = step.Ingest(request);
+    if (!outcome.ok()) return Fail(outcome.status());
+    if (!outcome->refresh) continue;
+    const stream::RefreshResult& result = *outcome->refresh;
+    std::printf(
+        "batch %lld (%lld rows in): %s | drifted pairs %zu | max G2 %.2f "
+        "| refilled %lld reused %lld | %.3fs%s\n",
+        static_cast<long long>(batch_id),
+        static_cast<long long>(step.synth().rows_ingested()),
+        stream::RefreshActionName(result.action),
+        result.drift.drifted.size(), result.drift.max_statistic,
+        static_cast<long long>(result.statements_refilled),
+        static_cast<long long>(result.statements_reused), result.seconds,
+        result.published_changed ? " [published]" : "");
+    if (!result.reason.empty() &&
+        result.action != stream::RefreshAction::kNoop) {
+      std::printf("  reason: %s\n", result.reason.c_str());
+    }
   }
+  if (remote) return 0;
 
-  if (!synth.bootstrapped()) {
-    return Fail(Status::Internal("stream never bootstrapped"));
-  }
+  const std::string& program = step.synth().program_text();
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
-    if (!out || !(out << synth.program_text())) {
+    if (!out || !(out << program)) {
       return Fail(Status::IoError("cannot write " + out_path));
     }
     std::printf("final program written to %s\n", out_path.c_str());
   } else {
     std::printf("final program after %lld row(s):\n%s",
-                static_cast<long long>(synth.rows_ingested()),
-                synth.program_text().c_str());
+                static_cast<long long>(step.synth().rows_ingested()),
+                program.c_str());
   }
   return 0;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // Re-encodes CSV rows as the JSON wire format (array of flat objects).
@@ -589,8 +526,11 @@ Result<std::string> CsvTextToJson(const std::string& csv_text) {
     out += '{';
     for (size_t c = 0; c < doc.header.size(); ++c) {
       if (c > 0) out += ',';
-      out += '"' + JsonEscape(doc.header[c]) + "\":\"" +
-             JsonEscape(doc.rows[r][c]) + '"';
+      out += '"';
+      telemetry::AppendJsonEscaped(doc.header[c], &out);
+      out += "\":\"";
+      telemetry::AppendJsonEscaped(doc.rows[r][c], &out);
+      out += '"';
     }
     out += '}';
   }
@@ -783,8 +723,9 @@ int Main(int argc, char** argv) {
   int hedge_ms = 0;
   bool ingest = false;
   bool force_refresh = false;
-  stream::PolicyOptions policy_options;
-  stream::DriftOptions drift_options;
+  stream::StreamServiceOptions stream_options;
+  stream::PolicyOptions& policy_options = stream_options.policy;
+  stream::DriftOptions& drift_options = stream_options.incremental.drift;
   int64_t batch_rows = 0;  // 0 = CmdStream default.
   std::string stream_endpoint;
   std::string stream_dataset;
@@ -1042,6 +983,9 @@ int Main(int argc, char** argv) {
     if (arg.rfind("--", 0) == 0) return Usage();
     args.emplace_back(arg);
   }
+  if (num_threads > 0) {
+    stream_options.incremental.synthesis.num_threads = num_threads;
+  }
   if (!trace_out.empty()) telemetry::EnableTracing(true);
   if (!metrics_out.empty()) telemetry::EnableMetrics(true);
   if (!trace_stream_out.empty()) {
@@ -1072,12 +1016,11 @@ int Main(int argc, char** argv) {
     rc = CmdExplain(args[1]);
   } else if (command == "serve" && n == 1 && !programs_dir.empty()) {
     rc = CmdServe(programs_dir, serve_port, queue_depth, reload_ms, ingest,
-                  policy_options, drift_options, num_threads);
+                  stream_options);
   } else if (command == "stream" && n == 2 &&
              (stream_endpoint.empty() == stream_dataset.empty())) {
-    rc = CmdStream(args[1], batch_rows, policy_options, drift_options,
-                   force_refresh, stream_endpoint, stream_dataset, out_path,
-                   num_threads);
+    rc = CmdStream(args[1], batch_rows, stream_options, force_refresh,
+                   stream_endpoint, stream_dataset, out_path);
   } else if (command == "validate" && n == 3 && !endpoints_spec.empty()) {
     rc = CmdValidateFleet(endpoints_spec, args[1], args[2], scheme,
                           row_format, time_budget_ms, retries, hedge_ms);
