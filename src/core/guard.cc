@@ -192,17 +192,12 @@ void GuardExecutor::Evaluate(const ColumnBatch& block) {
   if (block_compiled_) compiled_->Evaluate(block, &verdict_);
 }
 
-int64_t GuardExecutor::NextUncleared(int64_t from) const {
-  const int64_t rows = block_->num_rows();
-  if (!block_compiled_) return from < rows ? from : -1;
-  const int64_t violated =
-      verdict_.any_violation ? rowmask::NextSet(verdict_.violated, from, rows)
-                             : -1;
-  const int64_t fallback =
-      verdict_.any_fallback ? rowmask::NextSet(verdict_.fallback, from, rows)
-                            : -1;
-  if (violated < 0 || fallback < 0) return std::max(violated, fallback);
-  return std::min(violated, fallback);
+uint64_t GuardExecutor::UnclearedWord(size_t w) const {
+  if (!block_compiled_) return ~uint64_t{0};
+  uint64_t word = 0;
+  if (verdict_.any_violation) word |= verdict_.violated[w];
+  if (verdict_.any_fallback) word |= verdict_.fallback[w];
+  return word;
 }
 
 GuardVerdict GuardExecutor::Read(int64_t r, Row* row) {
@@ -211,12 +206,7 @@ GuardVerdict GuardExecutor::Read(int64_t r, Row* row) {
 }
 
 GuardVerdict GuardExecutor::Judge(int64_t r, Row* row) {
-  const ColumnBatch& block = *block_;
-  row->resize(static_cast<size_t>(block.width()));
-  for (AttrIndex c = 0; c < block.width(); ++c) {
-    const ValueId* column = block.column(c);
-    (*row)[static_cast<size_t>(c)] = column != nullptr ? column[r] : kNullValue;
-  }
+  block_->CopyRow(r, row);
 
   GuardVerdict out;
   const Violation* begin = nullptr;

@@ -175,21 +175,55 @@ class GuardExecutor {
   template <typename OnRow>
   int64_t Run(const ColumnBatch& block, OnRow&& on_row) {
     Evaluate(block);
-    int64_t r = NextUncleared(0);
-    for (; r >= 0; r = NextUncleared(r + 1)) {
-      if (!on_row(r, Judge(r, &row_), row_)) break;
-    }
-    const int64_t read = r < 0 ? block.num_rows() : r + 1;
-    rows_read_ += read;
-    return read;
+    return ReadRows(nullptr, on_row);
+  }
+
+  /// Run over the rows of the current block (the last one passed to
+  /// Evaluate) set in `mask`, rowmask words over the block: the other rows
+  /// are neither read nor counted. Bits past the block's rows must be clear.
+  template <typename OnRow>
+  int64_t Run(const std::vector<uint64_t>& mask, OnRow&& on_row) {
+    return ReadRows(mask.data(), on_row);
   }
 
  private:
   /// Publishes the tallies to the guard.* metrics.
   void Flush();
 
-  /// First row at or after `from` the compiled engine did not clear, or -1.
-  int64_t NextUncleared(int64_t from) const;
+  /// Reads the rows set in `mask` (every row when nullptr) in order; see
+  /// Run.
+  template <typename OnRow>
+  int64_t ReadRows(const uint64_t* mask, OnRow& on_row) {
+    const int64_t rows = block_->num_rows();
+    int64_t read = 0;
+    for (size_t w = 0; w < rowmask::Words(rows); ++w) {
+      const uint64_t wanted = mask != nullptr ? mask[w] : WordOfRows(rows, w);
+      for (uint64_t judge = wanted & UnclearedWord(w); judge != 0;
+           judge &= judge - 1) {
+        const int bit = __builtin_ctzll(judge);
+        const int64_t r = static_cast<int64_t>(w) * 64 + bit;
+        if (!on_row(r, Judge(r, &row_), row_)) {
+          const uint64_t through = bit == 63 ? ~uint64_t{0}
+                                             : (uint64_t{2} << bit) - 1;
+          read += __builtin_popcountll(wanted & through);
+          rows_read_ += read;
+          return read;
+        }
+      }
+      read += __builtin_popcountll(wanted);
+    }
+    rows_read_ += read;
+    return read;
+  }
+
+  /// Bits of word `w` for the rows of a `rows`-row block.
+  static uint64_t WordOfRows(int64_t rows, size_t w) {
+    const int64_t left = rows - static_cast<int64_t>(w) * 64;
+    return left >= 64 ? ~uint64_t{0} : (uint64_t{1} << left) - 1;
+  }
+
+  /// Word `w` of the rows the compiled engine did not clear.
+  uint64_t UnclearedWord(size_t w) const;
 
   /// Row `r`'s verdict under the policy; uncounted.
   GuardVerdict Judge(int64_t r, Row* row);

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/failpoint.h"
-
+#include "common/logging.h"
 #include "common/telemetry/telemetry.h"
 #include "ml/decision_tree.h"
 #include "ml/logistic_regression.h"
@@ -26,6 +26,28 @@ class MajorityModel : public Model {
   std::vector<double> PredictProbabilities(const Row&) const override {
     return probs_;
   }
+
+  void PredictBatch(const ColumnBatch& block,
+                    const std::vector<uint64_t>& mask,
+                    ValueId* out) const override {
+    for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
+      const int64_t base = static_cast<int64_t>(w) * 64;
+      rowmask::ForEachBit(mask[w], [&](int k) { out[base + k] = majority_; });
+    }
+  }
+
+  int32_t num_classes() const override {
+    return static_cast<int32_t>(probs_.size());
+  }
+
+  void ScoreGroup(const ColumnBatch&, int64_t, uint64_t bits,
+                  double* scores) const override {
+    rowmask::ForEachBit(bits, [&](int k) {
+      std::copy(probs_.begin(), probs_.end(),
+                scores + static_cast<size_t>(k) * probs_.size());
+    });
+  }
+
   std::string name() const override { return "majority"; }
   AttrIndex label_column() const override { return label_column_; }
 
@@ -35,14 +57,26 @@ class MajorityModel : public Model {
   std::vector<double> probs_;
 };
 
+/// Member score rows one EnsembleModel::ScoreGroup call keeps on the stack;
+/// wider label domains take one heap buffer per call.
+constexpr int32_t kStackClasses = 32;
+
 class EnsembleModel : public Model {
  public:
+  /// Every member scores rows column-wise over the same classes (the four
+  /// AutoML families all do).
   EnsembleModel(AttrIndex label_column,
                 std::vector<std::unique_ptr<Model>> members,
                 std::vector<double> weights)
       : label_column_(label_column),
         members_(std::move(members)),
-        weights_(std::move(weights)) {}
+        weights_(std::move(weights)),
+        num_classes_(members_.front()->num_classes()) {
+    for (const auto& member : members_) {
+      GUARDRAIL_CHECK_EQ(member->num_classes(), num_classes_);
+    }
+    GUARDRAIL_CHECK_GT(num_classes_, 0);
+  }
 
   ValueId Predict(const Row& row) const override {
     std::vector<double> probs = PredictProbabilities(row);
@@ -51,18 +85,49 @@ class EnsembleModel : public Model {
   }
 
   std::vector<double> PredictProbabilities(const Row& row) const override {
-    std::vector<double> total;
+    return ScoreRow(row);
+  }
+
+  void PredictBatch(const ColumnBatch& block,
+                    const std::vector<uint64_t>& mask,
+                    ValueId* out) const override {
+    PredictBatchByScores(block, mask, out);
+  }
+
+  int32_t num_classes() const override { return num_classes_; }
+
+  // Per row: the accuracy-weighted sum of the members' scores, in member
+  // order, normalized to sum 1.
+  void ScoreGroup(const ColumnBatch& block, int64_t base, uint64_t bits,
+                  double* scores) const override {
+    const size_t classes = static_cast<size_t>(num_classes_);
+    double stack[64 * kStackClasses];
+    std::vector<double> heap;
+    double* member_scores = stack;
+    if (num_classes_ > kStackClasses) {
+      heap.resize(64 * classes);
+      member_scores = heap.data();
+    }
+    rowmask::ForEachBit(bits, [&](int k) {
+      std::fill_n(scores + static_cast<size_t>(k) * classes, classes, 0.0);
+    });
     for (size_t m = 0; m < members_.size(); ++m) {
-      std::vector<double> p = members_[m]->PredictProbabilities(row);
-      if (total.empty()) total.assign(p.size(), 0.0);
-      for (size_t i = 0; i < p.size(); ++i) total[i] += weights_[m] * p[i];
+      members_[m]->ScoreGroup(block, base, bits, member_scores);
+      const double weight = weights_[m];
+      rowmask::ForEachBit(bits, [&](int k) {
+        const double* p = member_scores + static_cast<size_t>(k) * classes;
+        double* total = scores + static_cast<size_t>(k) * classes;
+        for (size_t i = 0; i < classes; ++i) total[i] += weight * p[i];
+      });
     }
-    double sum = 0.0;
-    for (double t : total) sum += t;
-    if (sum > 0.0) {
-      for (double& t : total) t /= sum;
-    }
-    return total;
+    rowmask::ForEachBit(bits, [&](int k) {
+      double* total = scores + static_cast<size_t>(k) * classes;
+      double sum = 0.0;
+      for (size_t i = 0; i < classes; ++i) sum += total[i];
+      if (sum > 0.0) {
+        for (size_t i = 0; i < classes; ++i) total[i] /= sum;
+      }
+    });
   }
 
   std::string name() const override { return "automl_ensemble"; }
@@ -72,6 +137,7 @@ class EnsembleModel : public Model {
   AttrIndex label_column_;
   std::vector<std::unique_ptr<Model>> members_;
   std::vector<double> weights_;
+  int32_t num_classes_;
 };
 
 }  // namespace

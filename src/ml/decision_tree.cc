@@ -33,30 +33,66 @@ double GiniImpurity(const std::vector<int64_t>& counts, int64_t total) {
   return g;
 }
 
+/// Cell readers for DecisionTreeModel::Walk.
+auto RowCells(const Row& row) {
+  return [&row](AttrIndex a) { return row[static_cast<size_t>(a)]; };
+}
+auto BlockCells(const ColumnBatch& block, int64_t r) {
+  return [&block, r](AttrIndex a) { return block.Cell(a, r); };
+}
+
 class DecisionTreeModel : public Model {
  public:
   DecisionTreeModel(AttrIndex label_column, std::vector<TreeNode> nodes)
       : label_column_(label_column), nodes_(std::move(nodes)) {}
 
   ValueId Predict(const Row& row) const override {
-    const TreeNode& node = Walk(row);
-    return node.majority;
+    return Walk(RowCells(row)).majority;
   }
 
   std::vector<double> PredictProbabilities(const Row& row) const override {
-    return Walk(row).class_probs;
+    return Walk(RowCells(row)).class_probs;
+  }
+
+  void PredictBatch(const ColumnBatch& block,
+                    const std::vector<uint64_t>& mask,
+                    ValueId* out) const override {
+    for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
+      const int64_t base = static_cast<int64_t>(w) * 64;
+      rowmask::ForEachBit(mask[w], [&](int k) {
+        out[base + k] = Walk(BlockCells(block, base + k)).majority;
+      });
+    }
+  }
+
+  int32_t num_classes() const override {
+    return static_cast<int32_t>(nodes_[0].class_probs.size());
+  }
+
+  void ScoreGroup(const ColumnBatch& block, int64_t base, uint64_t bits,
+                  double* scores) const override {
+    const size_t classes = nodes_[0].class_probs.size();
+    rowmask::ForEachBit(bits, [&](int k) {
+      const std::vector<double>& probs =
+          Walk(BlockCells(block, base + k)).class_probs;
+      std::copy(probs.begin(), probs.end(),
+                scores + static_cast<size_t>(k) * classes);
+    });
   }
 
   std::string name() const override { return "decision_tree"; }
   AttrIndex label_column() const override { return label_column_; }
 
  private:
-  const TreeNode& Walk(const Row& row) const {
+  /// The leaf (or the internal node a NULL / unseen value stops at) that the
+  /// row reaches; `cell(a)` reads the row's attribute a.
+  template <typename Cell>
+  const TreeNode& Walk(const Cell& cell) const {
     int32_t id = 0;
     while (true) {
       const TreeNode& node = nodes_[static_cast<size_t>(id)];
       if (node.split_attr < 0) return node;
-      ValueId v = row[static_cast<size_t>(node.split_attr)];
+      ValueId v = cell(node.split_attr);
       if (v == kNullValue) return node;
       // Out-of-vocabulary codes are hash-bucketed into the known domain
       // (see naive_bayes.cc for rationale).

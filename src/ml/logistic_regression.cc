@@ -19,7 +19,39 @@ namespace {
 struct FeatureLayout {
   std::vector<int32_t> offsets;  // Per attribute; -1 for the label column.
   int32_t num_features = 1;      // Slot 0 is the bias.
+
+  /// One one-hot block per attribute that has one, in attribute order.
+  struct Slot {
+    AttrIndex attr;
+    int32_t offset;
+    int32_t span;  // Codes at or past it hash-bucket into the block.
+  };
+  std::vector<Slot> slots;
+
+  /// Derives `slots` from `offsets` once they are final. An attribute's
+  /// block runs up to the next attribute's offset, or to the end when the
+  /// next attribute is the label column or the last one.
+  void BuildSlots() {
+    slots.clear();
+    for (size_t a = 0; a < offsets.size(); ++a) {
+      const int32_t offset = offsets[a];
+      if (offset < 0) continue;
+      const int32_t next = a + 1 < offsets.size() && offsets[a + 1] >= 0
+                               ? offsets[a + 1]
+                               : num_features;
+      if (next - offset <= 0) continue;
+      slots.push_back({static_cast<AttrIndex>(a), offset, next - offset});
+    }
+  }
 };
+
+/// The one-hot feature of code `v` (not NULL) in `slot`. Out-of-vocabulary
+/// codes hash-bucket into the attribute's span (see naive_bayes.cc for
+/// rationale).
+inline int32_t SlotFeature(const FeatureLayout::Slot& slot, ValueId v) {
+  if (v >= slot.span) v = v % slot.span;
+  return slot.offset + v;
+}
 
 /// Invokes fn(feature_index) for the bias plus one one-hot feature per
 /// non-label attribute of `row`.
@@ -27,31 +59,30 @@ template <typename Fn>
 void ForEachActiveFeature(const FeatureLayout& layout, const Row& row,
                           const Fn& fn) {
   fn(0);  // Bias.
-  for (size_t a = 0; a < layout.offsets.size(); ++a) {
-    int32_t offset = layout.offsets[a];
-    if (offset < 0) continue;
-    ValueId v = row[a];
-    if (v == kNullValue) continue;
-    int32_t next = a + 1 < layout.offsets.size() && layout.offsets[a + 1] >= 0
-                       ? layout.offsets[a + 1]
-                       : layout.num_features;
-    int32_t span = next - offset;
-    if (span <= 0) continue;
-    // Out-of-vocabulary codes hash-bucket into the attribute's span
-    // (see naive_bayes.cc for rationale).
-    if (v >= span) v = v % span;
-    fn(offset + v);
+  for (const FeatureLayout::Slot& slot : layout.slots) {
+    const ValueId v = row[static_cast<size_t>(slot.attr)];
+    if (v != kNullValue) fn(SlotFeature(slot, v));
   }
 }
 
 class LogisticRegressionModel : public Model {
  public:
   LogisticRegressionModel(AttrIndex label_column, int32_t num_labels,
-                          FeatureLayout layout, std::vector<double> weights)
+                          FeatureLayout layout,
+                          const std::vector<double>& weights)
       : label_column_(label_column),
         num_labels_(num_labels),
         layout_(std::move(layout)),
-        weights_(std::move(weights)) {}
+        weights_(weights.size()) {
+    // Stored [feature][label], so one feature's weights are contiguous.
+    const size_t labels = static_cast<size_t>(num_labels_);
+    const size_t features = static_cast<size_t>(layout_.num_features);
+    for (size_t y = 0; y < labels; ++y) {
+      for (size_t f = 0; f < features; ++f) {
+        weights_[f * labels + y] = weights[y * features + f];
+      }
+    }
+  }
 
   ValueId Predict(const Row& row) const override {
     std::vector<double> probs = PredictProbabilities(row);
@@ -60,37 +91,60 @@ class LogisticRegressionModel : public Model {
   }
 
   std::vector<double> PredictProbabilities(const Row& row) const override {
-    std::vector<double> logits(static_cast<size_t>(num_labels_), 0.0);
-    ForEachActiveFeature(layout_, row, [&](int32_t feature) {
-      for (int32_t y = 0; y < num_labels_; ++y) {
-        logits[static_cast<size_t>(y)] += WeightAt(y, feature);
-      }
+    return ScoreRow(row);
+  }
+
+  void PredictBatch(const ColumnBatch& block,
+                    const std::vector<uint64_t>& mask,
+                    ValueId* out) const override {
+    PredictBatchByScores(block, mask, out);
+  }
+
+  int32_t num_classes() const override { return num_labels_; }
+
+  // Per row: logits summed over the bias and then each non-NULL attribute's
+  // one-hot feature in attribute order, then a softmax. Column-wise over the
+  // group, with each row's sums in that order.
+  void ScoreGroup(const ColumnBatch& block, int64_t base, uint64_t bits,
+                  double* scores) const override {
+    const size_t labels = static_cast<size_t>(num_labels_);
+    rowmask::ForEachBit(bits, [&](int k) {
+      double* s = scores + static_cast<size_t>(k) * labels;
+      for (size_t y = 0; y < labels; ++y) s[y] = 0.0 + weights_[y];  // Bias.
     });
-    double mx = *std::max_element(logits.begin(), logits.end());
-    double total = 0.0;
-    std::vector<double> probs(logits.size());
-    for (size_t y = 0; y < logits.size(); ++y) {
-      probs[y] = std::exp(logits[y] - mx);
-      total += probs[y];
+    for (const FeatureLayout::Slot& slot : layout_.slots) {
+      const ValueId* column = block.column(slot.attr);
+      if (column == nullptr) continue;
+      rowmask::ForEachBit(bits, [&](int k) {
+        const ValueId v = column[base + k];
+        if (v == kNullValue) return;
+        const double* w =
+            weights_.data() +
+            static_cast<size_t>(SlotFeature(slot, v)) * labels;
+        double* s = scores + static_cast<size_t>(k) * labels;
+        for (size_t y = 0; y < labels; ++y) s[y] += w[y];
+      });
     }
-    for (double& p : probs) p /= total;
-    return probs;
+    rowmask::ForEachBit(bits, [&](int k) {
+      double* s = scores + static_cast<size_t>(k) * labels;
+      const double mx = *std::max_element(s, s + labels);
+      double total = 0.0;
+      for (size_t y = 0; y < labels; ++y) {
+        s[y] = std::exp(s[y] - mx);
+        total += s[y];
+      }
+      for (size_t y = 0; y < labels; ++y) s[y] /= total;
+    });
   }
 
   std::string name() const override { return "logistic_regression"; }
   AttrIndex label_column() const override { return label_column_; }
 
-  double WeightAt(int32_t label, int32_t feature) const {
-    return weights_[static_cast<size_t>(label) *
-                        static_cast<size_t>(layout_.num_features) +
-                    static_cast<size_t>(feature)];
-  }
-
  private:
   AttrIndex label_column_;
   int32_t num_labels_;
   FeatureLayout layout_;
-  std::vector<double> weights_;  // [label][feature], row-major.
+  std::vector<double> weights_;  // [feature][label], row-major.
 };
 
 }  // namespace
@@ -114,6 +168,7 @@ Result<std::unique_ptr<Model>> LogisticRegressionTrainer::Train(
     layout.offsets[static_cast<size_t>(a)] = layout.num_features;
     layout.num_features += train.schema().attribute(a).domain_size();
   }
+  layout.BuildSlots();
 
   std::vector<double> weights(
       static_cast<size_t>(num_labels) * static_cast<size_t>(layout.num_features),
@@ -169,7 +224,7 @@ Result<std::unique_ptr<Model>> LogisticRegressionTrainer::Train(
   }
 
   return std::unique_ptr<Model>(new LogisticRegressionModel(
-      label_column, num_labels, std::move(layout), std::move(weights)));
+      label_column, num_labels, std::move(layout), weights));
 }
 
 }  // namespace ml

@@ -1,7 +1,74 @@
 #include "ml/model.h"
 
+#include <algorithm>
+
 namespace guardrail {
 namespace ml {
+
+namespace {
+
+/// Score rows of one ScoreGroup call held on the stack; wider label domains
+/// take one heap buffer per call.
+constexpr int32_t kStackClasses = 32;
+
+}  // namespace
+
+void Model::PredictBatch(const ColumnBatch& block,
+                         const std::vector<uint64_t>& mask,
+                         ValueId* out) const {
+  Row row;
+  for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
+    rowmask::ForEachBit(mask[w], [&](int k) {
+      const int64_t r = static_cast<int64_t>(w) * 64 + k;
+      block.CopyRow(r, &row);
+      out[r] = Predict(row);
+    });
+  }
+}
+
+void Model::ScoreGroup(const ColumnBatch& block, int64_t base, uint64_t bits,
+                       double* scores) const {
+  const size_t classes = static_cast<size_t>(num_classes());
+  Row row;
+  rowmask::ForEachBit(bits, [&](int k) {
+    block.CopyRow(base + k, &row);
+    std::vector<double> probs = PredictProbabilities(row);
+    std::copy_n(probs.begin(), std::min(classes, probs.size()),
+                scores + static_cast<size_t>(k) * classes);
+  });
+}
+
+void Model::PredictBatchByScores(const ColumnBatch& block,
+                                 const std::vector<uint64_t>& mask,
+                                 ValueId* out) const {
+  const int32_t classes = num_classes();
+  double stack[64 * kStackClasses];
+  std::vector<double> heap;
+  double* scores = stack;
+  if (classes > kStackClasses) {
+    heap.resize(64 * static_cast<size_t>(classes));
+    scores = heap.data();
+  }
+  for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
+    if (mask[w] == 0) continue;
+    const int64_t base = static_cast<int64_t>(w) * 64;
+    ScoreGroup(block, base, mask[w], scores);
+    rowmask::ForEachBit(mask[w], [&](int k) {
+      const double* row_scores = scores + static_cast<size_t>(k) * classes;
+      out[base + k] = static_cast<ValueId>(
+          std::max_element(row_scores, row_scores + classes) - row_scores);
+    });
+  }
+}
+
+std::vector<double> Model::ScoreRow(const Row& row) const {
+  std::vector<const ValueId*> cells(row.size());
+  for (size_t c = 0; c < row.size(); ++c) cells[c] = &row[c];
+  const ColumnBatch block = ColumnBatch::FromColumns(std::move(cells), 1);
+  std::vector<double> scores(static_cast<size_t>(num_classes()));
+  ScoreGroup(block, 0, 1, scores.data());
+  return scores;
+}
 
 double Model::Accuracy(const Table& table) const {
   if (table.num_rows() == 0) return 0.0;

@@ -1,11 +1,13 @@
 #ifndef GUARDRAIL_ML_MODEL_H_
 #define GUARDRAIL_ML_MODEL_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "table/column_batch.h"
 #include "table/table.h"
 
 namespace guardrail {
@@ -14,6 +16,9 @@ namespace ml {
 /// A trained categorical classifier over Table rows. Stands in for the
 /// third-party / AutoML models of the paper's ML-integrated queries: opaque
 /// predictors whose mis-predictions correlate with input data errors.
+///
+/// Batched calls read row r of a block as ColumnBatch::CopyRow materializes
+/// it (the row GuardExecutor reads for the same block).
 class Model {
  public:
   virtual ~Model() = default;
@@ -25,6 +30,25 @@ class Model {
   /// Class scores for a row (indexed by label code); used by ensembles.
   virtual std::vector<double> PredictProbabilities(const Row& row) const = 0;
 
+  /// Writes Predict(row r) to out[r] for every row r of `block` set in
+  /// `mask` (rowmask words covering block.num_rows()); other entries of
+  /// `out` are left as they are. The default loops Predict; overrides must
+  /// return the same labels.
+  virtual void PredictBatch(const ColumnBatch& block,
+                            const std::vector<uint64_t>& mask,
+                            ValueId* out) const;
+
+  /// Length of PredictProbabilities' result for models that score rows
+  /// column-wise through ScoreGroup; 0 (the default) for models that do not.
+  virtual int32_t num_classes() const { return 0; }
+
+  /// PredictProbabilities for one 64-row group of `block`: for every set bit
+  /// k of `bits`, writes the scores of row base + k to
+  /// scores[k * num_classes() + y]. Called only when num_classes() > 0; the
+  /// default materializes each row and calls PredictProbabilities.
+  virtual void ScoreGroup(const ColumnBatch& block, int64_t base,
+                          uint64_t bits, double* scores) const;
+
   virtual std::string name() const = 0;
 
   /// Column the model predicts.
@@ -32,6 +56,18 @@ class Model {
 
   /// Convenience: batch accuracy against the labels stored in `table`.
   double Accuracy(const Table& table) const;
+
+ protected:
+  /// PredictBatch for models whose Predict is the first highest score of
+  /// PredictProbabilities: scores each 64-row group with ScoreGroup and
+  /// takes the same argmax per row.
+  void PredictBatchByScores(const ColumnBatch& block,
+                            const std::vector<uint64_t>& mask,
+                            ValueId* out) const;
+
+  /// PredictProbabilities through ScoreGroup on a one-row block, so the row
+  /// and batched paths share one kernel (and one arithmetic order).
+  std::vector<double> ScoreRow(const Row& row) const;
 };
 
 /// Trainer interface: fits a model on `train` predicting `label_column`.

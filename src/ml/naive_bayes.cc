@@ -15,11 +15,26 @@ class NaiveBayesModel : public Model {
  public:
   NaiveBayesModel(AttrIndex label_column, int32_t num_labels,
                   std::vector<double> log_prior,
-                  std::vector<std::vector<std::vector<double>>> log_likelihood)
+                  const std::vector<std::vector<std::vector<double>>>&
+                      log_likelihood)
       : label_column_(label_column),
         num_labels_(num_labels),
-        log_prior_(std::move(log_prior)),
-        log_likelihood_(std::move(log_likelihood)) {}
+        log_prior_(std::move(log_prior)) {
+    // Flatten [attribute][value][label] into one array, in attribute order
+    // (the order the per-row sum adds them in).
+    for (size_t a = 0; a < log_likelihood.size(); ++a) {
+      if (static_cast<AttrIndex>(a) == label_column_) continue;
+      const auto& table = log_likelihood[a];
+      if (table.empty()) continue;
+      features_.push_back({static_cast<AttrIndex>(a),
+                           static_cast<int32_t>(table.size()),
+                           log_likelihood_.size()});
+      for (const auto& by_label : table) {
+        log_likelihood_.insert(log_likelihood_.end(), by_label.begin(),
+                               by_label.end());
+      }
+    }
+  }
 
   ValueId Predict(const Row& row) const override {
     std::vector<double> scores = PredictProbabilities(row);
@@ -28,44 +43,73 @@ class NaiveBayesModel : public Model {
   }
 
   std::vector<double> PredictProbabilities(const Row& row) const override {
-    std::vector<double> log_scores = log_prior_;
-    for (size_t a = 0; a < log_likelihood_.size(); ++a) {
-      if (static_cast<AttrIndex>(a) == label_column_) continue;
-      ValueId v = row[a];
-      if (v == kNullValue) continue;  // Missing: skip the feature.
-      int32_t domain = static_cast<int32_t>(log_likelihood_[a].size());
-      if (domain == 0) continue;
-      // Out-of-vocabulary codes are hash-bucketed into the known domain,
-      // mirroring production feature encoders (and the paper's premise that
-      // corrupted inputs actively mislead a deployed model rather than
-      // being gracefully marginalized).
-      if (v >= domain) v = v % domain;
-      for (int32_t y = 0; y < num_labels_; ++y) {
-        log_scores[static_cast<size_t>(y)] +=
-            log_likelihood_[a][static_cast<size_t>(v)][static_cast<size_t>(y)];
-      }
+    return ScoreRow(row);
+  }
+
+  void PredictBatch(const ColumnBatch& block,
+                    const std::vector<uint64_t>& mask,
+                    ValueId* out) const override {
+    PredictBatchByScores(block, mask, out);
+  }
+
+  int32_t num_classes() const override { return num_labels_; }
+
+  // Per row: the log prior, plus log P(value | label) for each non-NULL
+  // feature in attribute order, then a softmax. Column-wise over the group,
+  // with each row's sums in that order.
+  void ScoreGroup(const ColumnBatch& block, int64_t base, uint64_t bits,
+                  double* scores) const override {
+    const size_t labels = static_cast<size_t>(num_labels_);
+    rowmask::ForEachBit(bits, [&](int k) {
+      std::copy(log_prior_.begin(), log_prior_.end(),
+                scores + static_cast<size_t>(k) * labels);
+    });
+    for (const Feature& f : features_) {
+      const ValueId* column = block.column(f.attr);
+      if (column == nullptr) continue;  // Missing: skip the feature.
+      rowmask::ForEachBit(bits, [&](int k) {
+        ValueId v = column[base + k];
+        if (v == kNullValue) return;
+        // Out-of-vocabulary codes are hash-bucketed into the known domain,
+        // mirroring production feature encoders (and the paper's premise
+        // that corrupted inputs actively mislead a deployed model rather
+        // than being gracefully marginalized).
+        if (v >= f.domain) v = v % f.domain;
+        const double* ll = log_likelihood_.data() + f.offset +
+                           static_cast<size_t>(v) * labels;
+        double* s = scores + static_cast<size_t>(k) * labels;
+        for (size_t y = 0; y < labels; ++y) s[y] += ll[y];
+      });
     }
     // Softmax normalization for well-defined probabilities.
-    double mx = *std::max_element(log_scores.begin(), log_scores.end());
-    double total = 0.0;
-    std::vector<double> probs(log_scores.size());
-    for (size_t y = 0; y < log_scores.size(); ++y) {
-      probs[y] = std::exp(log_scores[y] - mx);
-      total += probs[y];
-    }
-    for (double& p : probs) p /= total;
-    return probs;
+    rowmask::ForEachBit(bits, [&](int k) {
+      double* s = scores + static_cast<size_t>(k) * labels;
+      const double mx = *std::max_element(s, s + labels);
+      double total = 0.0;
+      for (size_t y = 0; y < labels; ++y) {
+        s[y] = std::exp(s[y] - mx);
+        total += s[y];
+      }
+      for (size_t y = 0; y < labels; ++y) s[y] /= total;
+    });
   }
 
   std::string name() const override { return "naive_bayes"; }
   AttrIndex label_column() const override { return label_column_; }
 
  private:
+  struct Feature {
+    AttrIndex attr;
+    int32_t domain;
+    size_t offset;  // Into log_likelihood_.
+  };
+
   AttrIndex label_column_;
   int32_t num_labels_;
   std::vector<double> log_prior_;
-  // [attribute][feature value][label] -> log P(value | label).
-  std::vector<std::vector<std::vector<double>>> log_likelihood_;
+  std::vector<Feature> features_;
+  // Per feature: [value][label] -> log P(value | label).
+  std::vector<double> log_likelihood_;
 };
 
 }  // namespace
@@ -132,7 +176,7 @@ Result<std::unique_ptr<Model>> NaiveBayesTrainer::Train(
 
   return std::unique_ptr<Model>(
       new NaiveBayesModel(label_column, num_labels, std::move(log_prior),
-                          std::move(log_likelihood)));
+                          log_likelihood));
 }
 
 }  // namespace ml

@@ -85,8 +85,6 @@ class Executor {
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
-  friend class Evaluator;
-
   Options options_;
   std::unordered_map<std::string, const Table*> tables_;
   std::unordered_map<std::string, const ml::Model*> models_;

@@ -40,6 +40,13 @@ ColumnBatch ColumnBatch::FromTable(const Table& table, RowIndex begin,
   return FromColumns(std::move(columns), count);
 }
 
+void ColumnBatch::CopyRow(int64_t r, Row* row) const {
+  row->resize(static_cast<size_t>(width_));
+  for (AttrIndex c = 0; c < width_; ++c) {
+    (*row)[static_cast<size_t>(c)] = Cell(c, r);
+  }
+}
+
 ColumnBatch ColumnBatch::FromColumns(std::vector<const ValueId*> columns,
                                      int64_t count) {
   ColumnBatch batch;

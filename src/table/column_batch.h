@@ -34,6 +34,12 @@ int64_t Count(const std::vector<uint64_t>& mask);
 /// `rows`.
 int64_t NextSet(const std::vector<uint64_t>& mask, int64_t from, int64_t rows);
 
+/// Calls fn(bit) for every set bit of one mask word, lowest first.
+template <typename Fn>
+inline void ForEachBit(uint64_t word, const Fn& fn) {
+  for (; word != 0; word &= word - 1) fn(__builtin_ctzll(word));
+}
+
 }  // namespace rowmask
 
 /// A columnar view (or transposed copy) of a block of rows, the unit the
@@ -83,6 +89,16 @@ class ColumnBatch {
     size_t i = static_cast<size_t>(attr);
     return i < views_.size() ? views_[i] : nullptr;
   }
+
+  /// Cell `attr` of row `r`; kNullValue when the batch does not carry that
+  /// column.
+  ValueId Cell(AttrIndex attr, int64_t r) const {
+    const ValueId* codes = column(attr);
+    return codes != nullptr ? codes[r] : kNullValue;
+  }
+
+  /// Materializes row `r`: cells [0, width()), read as Cell does.
+  void CopyRow(int64_t r, Row* row) const;
 
   /// Bitmask of rows narrower than width(); empty when none are.
   const std::vector<uint64_t>& narrow() const { return narrow_; }

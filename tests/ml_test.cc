@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+
 #include "ml/automl.h"
 #include "ml/decision_tree.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
+#include "table/column_batch.h"
 #include "table/sem_generator.h"
 
 namespace guardrail {
@@ -158,6 +163,105 @@ TEST(AutoMlTest, InputErrorsCauseMispredictions) {
     flips += setup.model->Predict(clean) != setup.model->Predict(dirty);
   }
   EXPECT_GT(flips, setup.test.num_rows() / 10);
+}
+
+// --------------------------------------------------------- PredictBatch --
+
+// Overrides Predict only, so PredictBatch is Model's default loop.
+class PredictOnlyModel : public Model {
+ public:
+  explicit PredictOnlyModel(const Model* inner) : inner_(inner) {}
+  ValueId Predict(const Row& row) const override {
+    return inner_->Predict(row);
+  }
+  std::vector<double> PredictProbabilities(const Row& row) const override {
+    return inner_->PredictProbabilities(row);
+  }
+  std::string name() const override { return "predict_only"; }
+  AttrIndex label_column() const override { return inner_->label_column(); }
+
+ private:
+  const Model* inner_;
+};
+
+// PredictBatch equals Predict row by row for every model family and for the
+// default loop: over rows with NULL cells and with labels added after
+// training (codes past the models' training domains, which they
+// hash-bucket), under full and partial masks, in blocks whose last one is
+// shorter than 1024 rows, and on a block that does not carry a column.
+TEST(PredictBatchTest, MatchesPredictRowByRow) {
+  // The label sits between features, so the linear model's one-hot layout
+  // has a block that runs to the end of the feature vector.
+  Table data(Schema({Attribute("f0"), Attribute("label"), Attribute("f1"),
+                     Attribute("f2")}));
+  Rng rng(13);
+  auto sample = [&](int64_t rows, uint64_t extra) {
+    for (int64_t r = 0; r < rows; ++r) {
+      const uint64_t f0 = rng.NextUint64(4 + extra);
+      const uint64_t f1 = rng.NextUint64(3 + extra);
+      const bool yes = (f0 < 2) != (rng.NextUint64(8) == 0) || f1 == 2;
+      data.AppendRowLabels({"a" + std::to_string(f0), yes ? "yes" : "no",
+                            "b" + std::to_string(f1),
+                            "c" + std::to_string(rng.NextUint64(5))});
+    }
+  };
+  sample(1500, 0);
+  std::vector<std::unique_ptr<Trainer>> trainers;
+  trainers.push_back(std::make_unique<NaiveBayesTrainer>());
+  trainers.push_back(std::make_unique<DecisionTreeTrainer>());
+  trainers.push_back(std::make_unique<LogisticRegressionTrainer>());
+  trainers.push_back(std::make_unique<MajorityTrainer>());
+  trainers.push_back(std::make_unique<AutoMlTrainer>());
+  std::vector<std::unique_ptr<Model>> models;
+  for (const auto& trainer : trainers) {
+    auto model = trainer->Train(data, 1);
+    ASSERT_TRUE(model.ok()) << trainer->name();
+    models.push_back(std::move(*model));
+  }
+  models.push_back(std::make_unique<PredictOnlyModel>(models.back().get()));
+  sample(1000, 3);  // 2500 rows: blocks of 1024, 1024 and 452.
+  for (RowIndex r = 0; r < data.num_rows(); r += 9) {
+    data.Set(r, static_cast<AttrIndex>(r % 4), kNullValue);
+  }
+
+  for (const auto& model : models) {
+    SCOPED_TRACE(model->name());
+    for (RowIndex begin = 0; begin < data.num_rows(); begin += 1024) {
+      const int64_t rows = std::min<int64_t>(1024, data.num_rows() - begin);
+      std::vector<uint64_t> full(rowmask::Words(rows), 0);
+      std::vector<uint64_t> partial = full;
+      for (int64_t r = 0; r < rows; ++r) {
+        rowmask::Set(&full, r);
+        if (r % 3 != 0 && (r / 64) % 4 != 1) rowmask::Set(&partial, r);
+      }
+      const ColumnBatch block = ColumnBatch::FromTable(data, begin, rows);
+      for (const auto* mask : {&full, &partial}) {
+        std::vector<ValueId> out(static_cast<size_t>(rows), -7);
+        model->PredictBatch(block, *mask, out.data());
+        for (int64_t r = 0; r < rows; ++r) {
+          const ValueId expected = rowmask::Test(*mask, r)
+                                       ? model->Predict(data.GetRow(begin + r))
+                                       : -7;
+          ASSERT_EQ(out[static_cast<size_t>(r)], expected)
+              << "row " << begin + r;
+        }
+      }
+      // A block without f2: its rows read f2 as NULL.
+      std::vector<const ValueId*> columns;
+      for (AttrIndex c = 0; c < data.num_columns(); ++c) {
+        columns.push_back(c == 3 ? nullptr : data.column(c).data() + begin);
+      }
+      const ColumnBatch narrow = ColumnBatch::FromColumns(columns, rows);
+      std::vector<ValueId> out(static_cast<size_t>(rows), -7);
+      model->PredictBatch(narrow, full, out.data());
+      for (int64_t r = 0; r < rows; ++r) {
+        Row row = data.GetRow(begin + r);
+        row[3] = kNullValue;
+        ASSERT_EQ(out[static_cast<size_t>(r)], model->Predict(row))
+            << "row " << begin + r;
+      }
+    }
+  }
 }
 
 }  // namespace
