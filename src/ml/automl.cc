@@ -27,15 +27,6 @@ class MajorityModel : public Model {
     return probs_;
   }
 
-  void PredictBatch(const ColumnBatch& block,
-                    const std::vector<uint64_t>& mask,
-                    ValueId* out) const override {
-    for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
-      const int64_t base = static_cast<int64_t>(w) * 64;
-      rowmask::ForEachBit(mask[w], [&](int k) { out[base + k] = majority_; });
-    }
-  }
-
   int32_t num_classes() const override {
     return static_cast<int32_t>(probs_.size());
   }
@@ -56,10 +47,6 @@ class MajorityModel : public Model {
   ValueId majority_;
   std::vector<double> probs_;
 };
-
-/// Member score rows one EnsembleModel::ScoreGroup call keeps on the stack;
-/// wider label domains take one heap buffer per call.
-constexpr int32_t kStackClasses = 32;
 
 class EnsembleModel : public Model {
  public:
@@ -88,12 +75,6 @@ class EnsembleModel : public Model {
     return ScoreRow(row);
   }
 
-  void PredictBatch(const ColumnBatch& block,
-                    const std::vector<uint64_t>& mask,
-                    ValueId* out) const override {
-    PredictBatchByScores(block, mask, out);
-  }
-
   int32_t num_classes() const override { return num_classes_; }
 
   // Per row: the accuracy-weighted sum of the members' scores, in member
@@ -101,13 +82,8 @@ class EnsembleModel : public Model {
   void ScoreGroup(const ColumnBatch& block, int64_t base, uint64_t bits,
                   double* scores) const override {
     const size_t classes = static_cast<size_t>(num_classes_);
-    double stack[64 * kStackClasses];
-    std::vector<double> heap;
-    double* member_scores = stack;
-    if (num_classes_ > kStackClasses) {
-      heap.resize(64 * classes);
-      member_scores = heap.data();
-    }
+    GroupScores buffer(num_classes_);
+    double* member_scores = buffer.data();
     rowmask::ForEachBit(bits, [&](int k) {
       std::fill_n(scores + static_cast<size_t>(k) * classes, classes, 0.0);
     });

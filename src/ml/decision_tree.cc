@@ -54,17 +54,6 @@ class DecisionTreeModel : public Model {
     return Walk(RowCells(row)).class_probs;
   }
 
-  void PredictBatch(const ColumnBatch& block,
-                    const std::vector<uint64_t>& mask,
-                    ValueId* out) const override {
-    for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
-      const int64_t base = static_cast<int64_t>(w) * 64;
-      rowmask::ForEachBit(mask[w], [&](int k) {
-        out[base + k] = Walk(BlockCells(block, base + k)).majority;
-      });
-    }
-  }
-
   int32_t num_classes() const override {
     return static_cast<int32_t>(nodes_[0].class_probs.size());
   }

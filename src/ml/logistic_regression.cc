@@ -94,12 +94,6 @@ class LogisticRegressionModel : public Model {
     return ScoreRow(row);
   }
 
-  void PredictBatch(const ColumnBatch& block,
-                    const std::vector<uint64_t>& mask,
-                    ValueId* out) const override {
-    PredictBatchByScores(block, mask, out);
-  }
-
   int32_t num_classes() const override { return num_labels_; }
 
   // Per row: logits summed over the bias and then each non-NULL attribute's

@@ -2,53 +2,28 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace guardrail {
 namespace ml {
-
-namespace {
-
-/// Score rows of one ScoreGroup call held on the stack; wider label domains
-/// take one heap buffer per call.
-constexpr int32_t kStackClasses = 32;
-
-}  // namespace
 
 void Model::PredictBatch(const ColumnBatch& block,
                          const std::vector<uint64_t>& mask,
                          ValueId* out) const {
-  Row row;
-  for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
-    rowmask::ForEachBit(mask[w], [&](int k) {
-      const int64_t r = static_cast<int64_t>(w) * 64 + k;
-      block.CopyRow(r, &row);
-      out[r] = Predict(row);
-    });
-  }
-}
-
-void Model::ScoreGroup(const ColumnBatch& block, int64_t base, uint64_t bits,
-                       double* scores) const {
-  const size_t classes = static_cast<size_t>(num_classes());
-  Row row;
-  rowmask::ForEachBit(bits, [&](int k) {
-    block.CopyRow(base + k, &row);
-    std::vector<double> probs = PredictProbabilities(row);
-    std::copy_n(probs.begin(), std::min(classes, probs.size()),
-                scores + static_cast<size_t>(k) * classes);
-  });
-}
-
-void Model::PredictBatchByScores(const ColumnBatch& block,
-                                 const std::vector<uint64_t>& mask,
-                                 ValueId* out) const {
   const int32_t classes = num_classes();
-  double stack[64 * kStackClasses];
-  std::vector<double> heap;
-  double* scores = stack;
-  if (classes > kStackClasses) {
-    heap.resize(64 * static_cast<size_t>(classes));
-    scores = heap.data();
+  if (classes == 0) {
+    Row row;
+    for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
+      rowmask::ForEachBit(mask[w], [&](int k) {
+        const int64_t r = static_cast<int64_t>(w) * 64 + k;
+        block.CopyRow(r, &row);
+        out[r] = Predict(row);
+      });
+    }
+    return;
   }
+  GroupScores buffer(classes);
+  double* scores = buffer.data();
   for (size_t w = 0; w < rowmask::Words(block.num_rows()); ++w) {
     if (mask[w] == 0) continue;
     const int64_t base = static_cast<int64_t>(w) * 64;
@@ -58,6 +33,18 @@ void Model::PredictBatchByScores(const ColumnBatch& block,
       out[base + k] = static_cast<ValueId>(
           std::max_element(row_scores, row_scores + classes) - row_scores);
     });
+  }
+}
+
+void Model::ScoreGroup(const ColumnBatch&, int64_t, uint64_t,
+                       double*) const {
+  GUARDRAIL_CHECK(false) << name() << " does not score rows column-wise";
+}
+
+Model::GroupScores::GroupScores(int32_t classes) : data_(stack_) {
+  if (classes > kStackClasses) {
+    heap_.resize(64 * static_cast<size_t>(classes));
+    data_ = heap_.data();
   }
 }
 

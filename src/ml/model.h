@@ -32,20 +32,21 @@ class Model {
 
   /// Writes Predict(row r) to out[r] for every row r of `block` set in
   /// `mask` (rowmask words covering block.num_rows()); other entries of
-  /// `out` are left as they are. The default loops Predict; overrides must
-  /// return the same labels.
-  virtual void PredictBatch(const ColumnBatch& block,
-                            const std::vector<uint64_t>& mask,
-                            ValueId* out) const;
+  /// `out` are left as they are. Models with num_classes() > 0 score each
+  /// 64-row group through ScoreGroup and take the first highest score per
+  /// row; others loop Predict.
+  void PredictBatch(const ColumnBatch& block, const std::vector<uint64_t>& mask,
+                    ValueId* out) const;
 
   /// Length of PredictProbabilities' result for models that score rows
-  /// column-wise through ScoreGroup; 0 (the default) for models that do not.
+  /// column-wise through ScoreGroup, and whose Predict is the first highest
+  /// of those scores; 0 (the default) for models that do not.
   virtual int32_t num_classes() const { return 0; }
 
   /// PredictProbabilities for one 64-row group of `block`: for every set bit
   /// k of `bits`, writes the scores of row base + k to
-  /// scores[k * num_classes() + y]. Called only when num_classes() > 0; the
-  /// default materializes each row and calls PredictProbabilities.
+  /// scores[k * num_classes() + y]. Models with num_classes() > 0 override
+  /// it; it is called on no other model.
   virtual void ScoreGroup(const ColumnBatch& block, int64_t base,
                           uint64_t bits, double* scores) const;
 
@@ -58,12 +59,21 @@ class Model {
   double Accuracy(const Table& table) const;
 
  protected:
-  /// PredictBatch for models whose Predict is the first highest score of
-  /// PredictProbabilities: scores each 64-row group with ScoreGroup and
-  /// takes the same argmax per row.
-  void PredictBatchByScores(const ColumnBatch& block,
-                            const std::vector<uint64_t>& mask,
-                            ValueId* out) const;
+  /// Room for the scores of one ScoreGroup call, 64 rows of `classes`: on
+  /// the stack up to kStackClasses classes, one heap buffer beyond.
+  class GroupScores {
+   public:
+    explicit GroupScores(int32_t classes);
+    GroupScores(const GroupScores&) = delete;
+    GroupScores& operator=(const GroupScores&) = delete;
+    double* data() { return data_; }
+
+   private:
+    static constexpr int32_t kStackClasses = 32;
+    double stack_[64 * kStackClasses];
+    std::vector<double> heap_;
+    double* data_;
+  };
 
   /// PredictProbabilities through ScoreGroup on a one-row block, so the row
   /// and batched paths share one kernel (and one arithmetic order).

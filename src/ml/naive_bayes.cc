@@ -46,12 +46,6 @@ class NaiveBayesModel : public Model {
     return ScoreRow(row);
   }
 
-  void PredictBatch(const ColumnBatch& block,
-                    const std::vector<uint64_t>& mask,
-                    ValueId* out) const override {
-    PredictBatchByScores(block, mask, out);
-  }
-
   int32_t num_classes() const override { return num_labels_; }
 
   // Per row: the log prior, plus log P(value | label) for each non-NULL

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -275,9 +274,6 @@ struct Node {
   std::vector<SqlValue> values;
   std::vector<uint8_t> state;
   std::vector<double> numbers;
-  /// MIN / MAX order of the codes; empty until needed, and when
-  /// SqlValue::Compare is not a total order over the domain.
-  std::vector<int32_t> ranks;
 };
 
 /// One aggregate call of an aggregation query.
@@ -301,14 +297,11 @@ bool AggregateKindOf(const std::string& name, AggSpec::Kind* kind) {
   return false;
 }
 
-/// Aggregate accumulator for one (group, aggregate) pair. MIN / MAX keep a
-/// code while the argument is tabulated with ranks, a value otherwise.
+/// Aggregate accumulator for one (group, aggregate) pair.
 struct AggState {
   int64_t count = 0;
   double sum = 0.0;
   bool has_minmax = false;
-  ValueId min_code = kNullValue;
-  ValueId max_code = kNullValue;
   SqlValue min;
   SqlValue max;
 };
@@ -371,8 +364,9 @@ struct KeyPart {
   }
 };
 
-/// Groups whose key space is at most this many packed keys index a dense
-/// array; larger spaces hash the packed key.
+/// Groups whose key space (the product of the key parts' class bounds) is
+/// at most this many keys index a dense array; larger spaces hash the key's
+/// class vector.
 constexpr uint64_t kDenseGroupKeys = uint64_t{1} << 16;
 
 /// Runs one SELECT over one table: compiles it, scans the table in blocks
@@ -461,10 +455,12 @@ class QueryExecution {
   /// be within the source's domain. Codes number labels in order of first
   /// appearance, so a scan that stops early sizes them to a prefix.
   void GrowTables(Node* node, size_t index);
-  void BuildRanks(Node* node);
 
   // ---- block evaluation ----
   void StartBlock(RowIndex begin, int64_t rows);
+  /// Trips "sql.scan_row" once per block row in [begin, end), in row order,
+  /// up to the first error.
+  void TripScanRows(int64_t begin, int64_t end);
   Vec Eval(Node* node, const Mask& mask);
   Mask Truth(const Vec& vec, const Mask& mask);
   const SqlValue& At(Vec& vec, int64_t r);
@@ -523,11 +519,9 @@ class QueryExecution {
   // Aggregation state.
   std::vector<KeyPart> key_parts_;
   std::vector<Group> groups_;
-  std::vector<int32_t> dense_groups_;
-  std::unordered_map<uint64_t, int32_t> hashed_groups_;
-  std::unordered_map<std::string, int32_t> wide_groups_;
   bool dense_ = true;
-  bool packable_ = true;
+  std::vector<int32_t> dense_groups_;  // Mixed-radix key -> group or -1.
+  std::unordered_map<std::string, int32_t> hashed_groups_;  // Class bytes.
   std::vector<int32_t> key_classes_;
   /// Aggregate values of the group the post-aggregation pass is on.
   const std::vector<SqlValue>* finalized_ = nullptr;
@@ -751,37 +745,6 @@ void QueryExecution::GrowTables(Node* node, size_t index) {
   node->numbers.resize(size, 0.0);
 }
 
-void QueryExecution::BuildRanks(Node* node) {
-  const int32_t domain = Domain(node->source);
-  // Compare is numeric when both sides are numbers and textual otherwise,
-  // so it orders a domain totally only when its values are all numeric
-  // (and not NaN) or all non-numeric.
-  std::vector<ValueId> codes;
-  int numeric = 0;
-  for (ValueId c = 0; c < domain; ++c) {
-    const uint8_t state = StateOf(node, c);
-    if (state & kIsNull) continue;
-    codes.push_back(c);
-    if (state & kNumeric) {
-      if (std::isnan(node->numbers[static_cast<size_t>(c + 1)])) return;
-      ++numeric;
-    }
-  }
-  if (numeric != 0 && numeric != static_cast<int>(codes.size())) return;
-  auto value = [&](ValueId c) -> const SqlValue& {
-    return node->values[static_cast<size_t>(c + 1)];
-  };
-  std::stable_sort(codes.begin(), codes.end(), [&](ValueId a, ValueId b) {
-    return value(a).Compare(value(b)) < 0;
-  });
-  node->ranks.assign(static_cast<size_t>(domain) + 1, -1);
-  int32_t rank = -1;
-  for (size_t i = 0; i < codes.size(); ++i) {
-    if (i == 0 || value(codes[i - 1]).Compare(value(codes[i])) != 0) ++rank;
-    node->ranks[static_cast<size_t>(codes[i] + 1)] = rank;
-  }
-}
-
 // --------------------------------------------------------------- blocks --
 
 void QueryExecution::StartBlock(RowIndex begin, int64_t rows) {
@@ -796,13 +759,15 @@ void QueryExecution::StartBlock(RowIndex begin, int64_t rows) {
   error_row_ = kBlockRows;
   error_row_scanned_ = false;
   error_ = Status::OK();
-  if (trip_scan_row_) {
-    for (int64_t r = 0; r < rows; ++r) {
-      Status st = FailpointTrip("sql.scan_row");
-      if (!st.ok()) {
-        RecordError(r, std::move(st), /*row_scanned=*/false);
-        break;
-      }
+}
+
+void QueryExecution::TripScanRows(int64_t begin, int64_t end) {
+  if (!trip_scan_row_) return;
+  for (int64_t r = begin; r < std::min(end, error_row_); ++r) {
+    Status st = FailpointTrip("sql.scan_row");
+    if (!st.ok()) {
+      RecordError(r, std::move(st), /*row_scanned=*/false);
+      return;
     }
   }
 }
@@ -1086,12 +1051,13 @@ Result<QueryResult> QueryExecution::RunProjection(const SelectStatement& stmt,
         }
         if (room > 0) window_end = block_rows_;
       }
-      const Mask window = Range(base_pass, window_begin, window_end);
+      TripScanRows(window_begin, window_end);
+      const Mask window =
+          Range(base_pass, window_begin, std::min(window_end, error_row_));
       const Mask pass = Filter(ml_conjuncts_, window);
       std::vector<Vec> values;
       for (Node* item : items) values.push_back(Eval(item, pass));
-      // An error past this window waits: the scan may stop before it.
-      if (error_row_ < window_end) {
+      if (!error_.ok()) {
         CountScanned(error_row_ + (error_row_scanned_ ? 1 : 0), base_pass);
         return error_;
       }
@@ -1129,19 +1095,18 @@ int32_t QueryExecution::GroupOf(std::vector<Vec>& keys, int64_t r) {
     key_classes_[i] = ClassOf(key_parts_[i], keys[i], r);
   }
   int32_t* slot = nullptr;
-  if (packable_) {
-    uint64_t packed = 0;
+  if (dense_) {
+    uint64_t key = 0;
     uint64_t scale = 1;
     for (size_t i = 0; i < key_parts_.size(); ++i) {
-      packed += static_cast<uint64_t>(key_classes_[i]) * scale;
+      key += static_cast<uint64_t>(key_classes_[i]) * scale;
       scale *= key_parts_[i].radix;
     }
-    slot = dense_ ? &dense_groups_[packed]
-                  : &hashed_groups_.try_emplace(packed, -1).first->second;
+    slot = &dense_groups_[key];
   } else {
-    std::string wide(reinterpret_cast<const char*>(key_classes_.data()),
-                     key_classes_.size() * sizeof(int32_t));
-    slot = &wide_groups_.try_emplace(std::move(wide), -1).first->second;
+    std::string key(reinterpret_cast<const char*>(key_classes_.data()),
+                    key_classes_.size() * sizeof(int32_t));
+    slot = &hashed_groups_.try_emplace(std::move(key), -1).first->second;
   }
   if (*slot >= 0) return *slot;
   *slot = static_cast<int32_t>(groups_.size());
@@ -1170,8 +1135,6 @@ void QueryExecution::Accumulate(Group* group, std::vector<Vec>& args,
       ++state.count;
       continue;
     }
-    const bool minmax =
-        spec.kind == AggSpec::kMin || spec.kind == AggSpec::kMax;
     Vec& arg = args[i];
     if (arg.kind == Vec::kCoded) {
       const ValueId code = arg.codes[r];
@@ -1181,30 +1144,17 @@ void QueryExecution::Accumulate(Group* group, std::vector<Vec>& args,
       if (bits & kNumeric) {
         state.sum += arg.node->numbers[static_cast<size_t>(code + 1)];
       }
-      if (!minmax) continue;
-      const std::vector<int32_t>& ranks = arg.node->ranks;
-      if (!ranks.empty()) {
-        const auto rank = [&](ValueId c) {
-          return ranks[static_cast<size_t>(c + 1)];
-        };
-        if (!state.has_minmax) {
-          state.min_code = state.max_code = code;
-          state.has_minmax = true;
-        } else {
-          if (rank(code) < rank(state.min_code)) state.min_code = code;
-          if (rank(code) > rank(state.max_code)) state.max_code = code;
-        }
-        continue;
-      }
-    }
-    const SqlValue& v = At(arg, r);
-    if (arg.kind != Vec::kCoded) {
+    } else {
+      const SqlValue& v = At(arg, r);
       if (v.is_null()) continue;
       ++state.count;
       double n = 0;
       if (v.ToNumber(&n)) state.sum += n;
-      if (!minmax) continue;
     }
+    if (spec.kind != AggSpec::kMin && spec.kind != AggSpec::kMax) continue;
+    // Compare is not transitive over mixed numeric and text values, so
+    // MIN / MAX compare in row order, as row-at-a-time evaluation did.
+    const SqlValue& v = At(arg, r);
     if (!state.has_minmax) {
       state.min = v;
       state.max = v;
@@ -1299,30 +1249,18 @@ Result<QueryResult> QueryExecution::RunAggregation(const SelectStatement& stmt,
     } else {
       part.radix = static_cast<uint64_t>(table_.num_rows()) + 1;
     }
-    if (packable_ && key_space > std::numeric_limits<uint64_t>::max() /
-                                     part.radix) {
-      packable_ = false;
-    }
-    key_space *= part.radix;
+    dense_ = dense_ && key_space <= kDenseGroupKeys / part.radix;
+    if (dense_) key_space *= part.radix;
     key_parts_.push_back(std::move(part));
   }
-  dense_ = packable_ && key_space <= kDenseGroupKeys;
   if (dense_) dense_groups_.assign(key_space, -1);
   key_classes_.resize(key_parts_.size());
-  // Ranking evaluates the whole domain, so a domain larger than the table
-  // keeps comparing values row by row instead.
-  for (const AggSpec& spec : aggregates_) {
-    if ((spec.kind == AggSpec::kMin || spec.kind == AggSpec::kMax) &&
-        spec.arg->source >= 0 &&
-        Domain(spec.arg->source) <= table_.num_rows()) {
-      BuildRanks(spec.arg);
-    }
-  }
 
   DeadlineChecker deadline(cancel_, /*stride=*/1);
   for (RowIndex begin = 0; begin < table_.num_rows(); begin += kBlockRows) {
     GUARDRAIL_RETURN_NOT_OK(deadline.Check("sql aggregation scan"));
     StartBlock(begin, std::min(kBlockRows, table_.num_rows() - begin));
+    TripScanRows(0, block_rows_);
     const Mask base_pass = Filter(base_conjuncts_, live_);
     const Mask pass = Filter(ml_conjuncts_, base_pass);
     std::vector<Vec> keys;
@@ -1362,11 +1300,6 @@ Result<QueryResult> QueryExecution::RunAggregation(const SelectStatement& stmt,
     for (size_t i = 0; i < aggregates_.size(); ++i) {
       const AggSpec& spec = aggregates_[i];
       const AggState& state = group.states[i];
-      const bool coded_minmax = spec.arg != nullptr &&
-                                !spec.arg->ranks.empty();
-      auto label_of = [&](ValueId code) {
-        return spec.arg->values[static_cast<size_t>(code + 1)];
-      };
       SqlValue& v = finalized[i];
       switch (spec.kind) {
         case AggSpec::kCount:
@@ -1383,14 +1316,10 @@ Result<QueryResult> QueryExecution::RunAggregation(const SelectStatement& stmt,
                               : SqlValue::MakeNull();
           break;
         case AggSpec::kMin:
-          v = !state.has_minmax ? SqlValue::MakeNull()
-              : coded_minmax    ? label_of(state.min_code)
-                                : state.min;
+          v = state.has_minmax ? state.min : SqlValue::MakeNull();
           break;
         case AggSpec::kMax:
-          v = !state.has_minmax ? SqlValue::MakeNull()
-              : coded_minmax    ? label_of(state.max_code)
-                                : state.max;
+          v = state.has_minmax ? state.max : SqlValue::MakeNull();
           break;
       }
     }

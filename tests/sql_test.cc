@@ -1162,6 +1162,78 @@ TEST(ExecutorOracleTest, RandomQueriesMatchOracle) {
   telemetry::ResetAllForTest();
 }
 
+// Group keys over several sources have a class bound per table row, so two
+// of them make a key space past the dense array and the groups hash their
+// class vectors; one such key with a coded one stays dense.
+TEST(ExecutorOracleTest, WideGroupKeysMatchOracle) {
+  telemetry::EnableMetrics(true);
+  RandomQueryFixture fixture(/*seed=*/41);
+  core::Guard guard(&fixture.program);
+  const std::map<std::string, const ml::Model*> models = {
+      {"m", fixture.ensemble.get()}, {"t", fixture.tree.get()}};
+  for (const char* sql :
+       {"SELECT a + c, a * c, COUNT(*), MIN(c), MAX(a) FROM t "
+        "GROUP BY a + c, a * c",
+        "SELECT a + c, a * c, b, SUM(a), ML_PREDICT('m') FROM t "
+        "WHERE ML_PREDICT('t') = 'yes' GROUP BY a + c, a * c, b "
+        "HAVING COUNT(*) > 2 ORDER BY 4 DESC",
+        "SELECT b, a - c, AVG(c) FROM t GROUP BY b, a - c"}) {
+    for (core::ErrorPolicy policy : kPolicies) {
+      ExpectMatchesOracle(sql, fixture.table, models, &guard, policy,
+                          /*pushdown=*/true);
+    }
+  }
+  telemetry::ResetAllForTest();
+}
+
+// "sql.scan_row" trips once per row the scan reaches, in row order: a LIMIT
+// scan that stops early draws no more trips than row-at-a-time scanning,
+// and every seed gives the oracle's result or error.
+TEST(ExecutorOracleTest, ScanRowFailpointTripsOnlyScannedRows) {
+  RandomQueryFixture fixture(/*seed=*/7);
+  core::Guard guard(&fixture.program);
+  const std::map<std::string, const ml::Model*> models = {
+      {"m", fixture.ensemble.get()}};
+  Executor executor;
+  executor.RegisterTable("t", &fixture.table);
+  executor.RegisterModel("m", fixture.ensemble.get());
+  executor.SetGuard(&guard, core::ErrorPolicy::kRectify);
+  RowOracle oracle(&fixture.table, models, &guard,
+                   core::ErrorPolicy::kRectify, /*pushdown=*/true);
+  auto& registry = FailpointRegistry::Instance();
+  registry.DisarmAll();
+  int clean = 0;
+  for (const char* sql :
+       {"SELECT a, b FROM t WHERE b = 'x' LIMIT 7",
+        "SELECT a, ML_PREDICT('m') FROM t WHERE ML_PREDICT('m') = 'yes' "
+        "LIMIT 30",
+        "SELECT b, COUNT(*) FROM t GROUP BY b"}) {
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+      SCOPED_TRACE(std::string(sql) + " [seed " + std::to_string(seed) + "]");
+      registry.Arm("sql.scan_row", 0.002, StatusCode::kIoError, seed);
+      const int64_t before = registry.trips_fired();
+      Result<QueryResult> expected = oracle.Execute(sql);
+      const int64_t oracle_trips = registry.trips_fired() - before;
+      registry.Arm("sql.scan_row", 0.002, StatusCode::kIoError, seed);
+      const int64_t middle = registry.trips_fired();
+      Result<QueryResult> actual = executor.Execute(sql);
+      EXPECT_EQ(registry.trips_fired() - middle, oracle_trips);
+      EXPECT_EQ(actual.ok(), expected.ok());
+      if (actual.ok() != expected.ok()) continue;
+      if (expected.ok()) {
+        EXPECT_EQ(actual->ToString(), expected->ToString());
+        ++clean;
+      } else {
+        EXPECT_EQ(actual.status().ToString(), expected.status().ToString());
+      }
+      EXPECT_EQ(executor.stats().rows_scanned, oracle.stats.rows_scanned);
+    }
+  }
+  registry.DisarmAll();
+  // The LIMIT scans mostly stop before any trip at this rate.
+  EXPECT_GT(clean, 30);
+}
+
 // Both timing counters come from the same per-block measurement as their
 // ExecStats fields: per query they differ by less than the microsecond the
 // counter truncates.
