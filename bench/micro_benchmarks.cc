@@ -146,6 +146,39 @@ void BM_GSquareKernelHash(benchmark::State& state) {
 }
 BENCHMARK(BM_GSquareKernelHash)->Arg(1)->Arg(2)->Arg(3);
 
+// Bit-sliced vs scalar dense G² on one auxiliary (binary) sample. The scalar
+// side appends a never-tested 3-valued column, which keeps the sample off the
+// bit planes; verdicts are identical. range(0) is the conditioning-set size.
+void BM_GSquareAuxKernel(benchmark::State& state, bool bit_sliced) {
+  Table data = MakeBenchTable(8, 4000);
+  Rng rng(3);
+  pgm::EncodedData encoded =
+      pgm::SampleAuxiliaryDistribution(data, pgm::AuxiliarySamplerOptions{}, &rng);
+  if (!bit_sliced) {
+    encoded.cardinalities.push_back(3);
+    encoded.columns.emplace_back(static_cast<size_t>(encoded.num_rows), 2);
+  }
+  pgm::GSquareTest test(&encoded, {});
+  std::vector<int32_t> cond;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    cond.push_back(static_cast<int32_t>(2 + i));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(test.Test(0, 1, cond));
+  }
+  state.SetItemsProcessed(state.iterations() * encoded.num_rows);
+}
+
+void BM_GSquareAuxBitSliced(benchmark::State& state) {
+  BM_GSquareAuxKernel(state, /*bit_sliced=*/true);
+}
+BENCHMARK(BM_GSquareAuxBitSliced)->Arg(0)->Arg(1)->Arg(3);
+
+void BM_GSquareAuxScalar(benchmark::State& state) {
+  BM_GSquareAuxKernel(state, /*bit_sliced=*/false);
+}
+BENCHMARK(BM_GSquareAuxScalar)->Arg(0)->Arg(1)->Arg(3);
+
 void BM_AuxiliarySampling(benchmark::State& state) {
   Table data = MakeBenchTable(10, state.range(0));
   pgm::AuxiliarySamplerOptions opt;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/timer.h"
-#include "core/metrics.h"
 #include "core/sketch.h"
 #include "core/sketch_filler.h"
 
@@ -61,14 +60,14 @@ OptSmtSynthesizer::ReportedResult OptSmtSynthesizer::Synthesize(
             static_cast<int64_t>(
                 data.schema().attribute(dep).domain_size());
 
-        std::optional<core::Statement> filled =
-            core::FillStatementSketch(sketch, data, fill);
-        if (filled.has_value()) {
-          double coverage = core::StatementCoverage(*filled, data);
-          if (coverage > best_coverage) {
-            best_coverage = coverage;
-            best = std::move(*filled);
-          }
+        // Unbounded fill (the budget is polled per candidate above); the
+        // filler counts the statement's coverage in its own scan.
+        Result<std::optional<core::FilledStatement>> filled =
+            core::FillStatementSketch(sketch, data, fill,
+                                      CancellationToken::Never());
+        if (filled->has_value() && (*filled)->coverage > best_coverage) {
+          best_coverage = (*filled)->coverage;
+          best = std::move((*filled)->statement);
         }
 
         // Next combination.

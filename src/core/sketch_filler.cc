@@ -19,7 +19,11 @@ namespace {
 struct ConditionGroup {
   std::vector<ValueId> determinant_values;  // Aligned with the determinants.
   std::unordered_map<ValueId, int64_t> dependent_histogram;
+  /// Rows with a non-NULL dependent (the branch's support).
   int64_t support = 0;
+  /// Every row matching the combination, NULL dependents included — the
+  /// rows BranchCoverage counts.
+  int64_t matched = 0;
 };
 
 /// Rows per scan shard. The shard count is a pure function of the row count
@@ -55,10 +59,11 @@ Status ScanRowsIntoGroups(const StatementSketch& sketch, const Table& data,
       }
     }
     if (has_null) continue;
+    ConditionGroup& group = (*groups)[key];
+    if (group.matched == 0) group.determinant_values = combo;
+    ++group.matched;
     ValueId dep = data.Get(r, sketch.dependent);
     if (dep == kNullValue) continue;
-    ConditionGroup& group = (*groups)[key];
-    if (group.support == 0) group.determinant_values = combo;
     ++group.dependent_histogram[dep];
     ++group.support;
   }
@@ -70,13 +75,14 @@ Status ScanRowsIntoGroups(const StatementSketch& sketch, const Table& data,
 std::optional<Statement> FillStatementSketch(const StatementSketch& sketch,
                                              const Table& data,
                                              const FillOptions& options) {
-  Result<std::optional<Statement>> filled =
+  Result<std::optional<FilledStatement>> filled =
       FillStatementSketch(sketch, data, options, CancellationToken::Never());
   // Infallible with an infinite budget.
-  return std::move(filled).value();
+  if (!filled->has_value()) return std::optional<Statement>();
+  return std::optional<Statement>(std::move((*filled)->statement));
 }
 
-Result<std::optional<Statement>> FillStatementSketch(
+Result<std::optional<FilledStatement>> FillStatementSketch(
     const StatementSketch& sketch, const Table& data,
     const FillOptions& options, const CancellationToken& cancel) {
   GUARDRAIL_CHECK(!sketch.determinants.empty());
@@ -131,7 +137,7 @@ Result<std::optional<Statement>> FillStatementSketch(
     for (auto& shard : shard_groups) {
       for (auto& [key, src] : shard) {
         ConditionGroup& dst = groups[key];
-        if (dst.support == 0) {
+        if (dst.matched == 0) {
           dst = std::move(src);
           continue;
         }
@@ -139,15 +145,19 @@ Result<std::optional<Statement>> FillStatementSketch(
           dst.dependent_histogram[value] += count;
         }
         dst.support += src.support;
+        dst.matched += src.matched;
       }
     }
   }
 
   // Order groups by descending support so the cap keeps the highest-impact
-  // conditions (ties by determinant values for determinism).
+  // conditions (ties by determinant values for determinism). Combinations
+  // seen only with a NULL dependent warrant no condition.
   std::vector<const ConditionGroup*> ordered;
   ordered.reserve(groups.size());
-  for (const auto& [key, group] : groups) ordered.push_back(&group);
+  for (const auto& [key, group] : groups) {
+    if (group.support > 0) ordered.push_back(&group);
+  }
   std::sort(ordered.begin(), ordered.end(),
             [](const ConditionGroup* a, const ConditionGroup* b) {
               if (a->support != b->support) return a->support > b->support;
@@ -158,7 +168,8 @@ Result<std::optional<Statement>> FillStatementSketch(
     ordered.resize(static_cast<size_t>(options.max_conditions_per_statement));
   }
 
-  Statement stmt;
+  FilledStatement filled;
+  Statement& stmt = filled.statement;
   stmt.determinants = sketch.determinants;
   stmt.dependent = sketch.dependent;
   for (const ConditionGroup* group : ordered) {
@@ -195,14 +206,18 @@ Result<std::optional<Statement>> FillStatementSketch(
     std::sort(branch.condition.equalities.begin(),
               branch.condition.equalities.end());
     stmt.branches.push_back(std::move(branch));
+    // BranchCoverage's division, summed in branch order as
+    // StatementCoverage sums it.
+    filled.coverage += static_cast<double>(group->matched) /
+                       static_cast<double>(num_rows);
   }
 
   if (stmt.branches.empty()) {
     GUARDRAIL_COUNTER_INC("sketch_filler.statements_bottom");
-    return std::optional<Statement>();
+    return std::optional<FilledStatement>();
   }
   GUARDRAIL_COUNTER_INC("sketch_filler.statements_filled");
-  return std::optional<Statement>(std::move(stmt));
+  return std::optional<FilledStatement>(std::move(filled));
 }
 
 Program FillProgramSketch(const ProgramSketch& sketch, const Table& data,

@@ -41,10 +41,23 @@ std::optional<Statement> FillStatementSketch(const StatementSketch& sketch,
                                              const Table& data,
                                              const FillOptions& options);
 
-/// Cancellable variant: polls `cancel` amortized across the data scan and
-/// returns Status::Timeout on expiry (a partially grouped statement would
-/// understate support, so no partial fill is produced).
-Result<std::optional<Statement>> FillStatementSketch(
+/// A filled statement together with its coverage cov(s, D) (Eqn. 6),
+/// counted by the fill's own group scan: the scan already visits every row
+/// matching each determinant combination (rows whose dependent is NULL
+/// included, as BranchCoverage counts them), so the coverage costs no second
+/// pass. `coverage` sums matched_b / |D| over the kept branches in branch
+/// order — the same additions StatementCoverage(statement, data) makes, so
+/// the two doubles are bit-identical.
+struct FilledStatement {
+  Statement statement;
+  double coverage = 0.0;
+};
+
+/// Cancellable variant that also reports the coverage: polls `cancel`
+/// amortized across the data scan and returns Status::Timeout on expiry (a
+/// partially grouped statement would understate support, so no partial fill
+/// is produced).
+Result<std::optional<FilledStatement>> FillStatementSketch(
     const StatementSketch& sketch, const Table& data,
     const FillOptions& options, const CancellationToken& cancel);
 

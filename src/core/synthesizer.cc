@@ -12,7 +12,6 @@
 #include "common/telemetry/telemetry.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/metrics.h"
 #include "core/nontriviality.h"
 #include "core/normalize.h"
 #include "pgm/encoded_data.h"
@@ -23,7 +22,8 @@ namespace core {
 namespace {
 
 /// Statement-level cache (Sec. 7): DAGs in one MEC share most parent sets,
-/// so FillStmtSketch results are memoized on (determinants, dependent).
+/// so FillStmtSketch results — each statement with the coverage its fill
+/// counted — are memoized on (determinants, dependent).
 ///
 /// Concurrency: lookups go through a mutex-striped shard table (the shard
 /// mutex guards only the hash map, never a fill), and each entry carries its
@@ -36,10 +36,10 @@ class StatementCache {
   /// never cached (the entry may still be fillable by a later caller with a
   /// fresh budget): a failed fill resets the entry and wakes one waiter to
   /// retry.
-  Result<const Statement*> GetOrFill(const StatementSketch& sketch,
-                                     const Table& data,
-                                     const FillOptions& options,
-                                     const CancellationToken& cancel) {
+  Result<const FilledStatement*> GetOrFill(const StatementSketch& sketch,
+                                           const Table& data,
+                                           const FillOptions& options,
+                                           const CancellationToken& cancel) {
     Shard& shard =
         shards_[StatementSketchHash()(sketch) % shards_.size()];
     std::shared_ptr<Entry> entry;
@@ -62,7 +62,7 @@ class StatementCache {
     entry->state = Entry::State::kFilling;
     lock.unlock();
 
-    Result<std::optional<Statement>> filled =
+    Result<std::optional<FilledStatement>> filled =
         FillStatementSketch(sketch, data, options, cancel);
 
     lock.lock();
@@ -87,7 +87,7 @@ class StatementCache {
     std::mutex mu;
     std::condition_variable cv;
     State state = State::kUnfilled;
-    std::optional<Statement> value;
+    std::optional<FilledStatement> value;
   };
   struct Shard {
     std::mutex mu;
@@ -100,6 +100,15 @@ class StatementCache {
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
 };
+
+/// ProgramCoverage from the statements' memoized coverages: the same sum in
+/// the same order, so the double is bit-identical to rescanning the table.
+double ProgramCoverageOf(const std::vector<double>& statement_coverages) {
+  if (statement_coverages.empty()) return 0.0;
+  double total = 0.0;
+  for (double coverage : statement_coverages) total += coverage;
+  return total / static_cast<double>(statement_coverages.size());
+}
 
 /// A token whose deadline spends at most `fraction` of what remains on
 /// `cancel` — how the ladder reserves budget for its fallback rungs. With an
@@ -231,6 +240,7 @@ Result<SynthesisReport> Synthesizer::SynthesizeFromMec(
     bool attempted = false;
     bool complete = false;
     Program program;
+    std::vector<double> statement_coverages;  // Aligned with program.
     ProgramSketch sketch;
     double coverage = -1.0;
   };
@@ -249,15 +259,18 @@ Result<SynthesisReport> Synthesizer::SynthesizeFromMec(
           out.sketch = SketchFromDag(dags[static_cast<size_t>(i)]);
           out.complete = true;
           for (const auto& stmt_sketch : out.sketch.statements) {
-            Result<const Statement*> stmt =
+            Result<const FilledStatement*> stmt =
                 cache.GetOrFill(stmt_sketch, data, options_.fill, cancel);
             if (!stmt.ok()) {
               out.complete = false;
               return;
             }
-            if (*stmt != nullptr) out.program.statements.push_back(**stmt);
+            if (*stmt != nullptr) {
+              out.program.statements.push_back((*stmt)->statement);
+              out.statement_coverages.push_back((*stmt)->coverage);
+            }
           }
-          out.coverage = ProgramCoverage(out.program, data);
+          out.coverage = ProgramCoverageOf(out.statement_coverages);
         },
         pf);
     // A cancelled loop is not an error here: cut-short DAGs surface as
@@ -266,6 +279,7 @@ Result<SynthesisReport> Synthesizer::SynthesizeFromMec(
   }
 
   Program best_program;
+  std::vector<double> best_statement_coverages;
   Program ensemble;
   ProgramSketch best_sketch;
   double best_coverage = -1.0;
@@ -295,6 +309,7 @@ Result<SynthesisReport> Synthesizer::SynthesizeFromMec(
     if (fill.coverage > best_coverage) {
       best_coverage = fill.coverage;
       best_program = std::move(fill.program);
+      best_statement_coverages = std::move(fill.statement_coverages);
       best_sketch = std::move(fill.sketch);
     }
   }
@@ -311,6 +326,7 @@ Result<SynthesisReport> Synthesizer::SynthesizeFromMec(
   report.cache_hits = cache.hits();
   report.cache_misses = cache.misses();
   report.program = std::move(best_program);
+  report.statement_coverages = std::move(best_statement_coverages);
   report.chosen_sketch = std::move(best_sketch);
   report.coverage = best_coverage < 0.0 ? 0.0 : best_coverage;
   CanonicalizeProgramOrder(&ensemble);
@@ -344,7 +360,7 @@ Result<SynthesisReport> Synthesizer::FillSingleDag(
   struct StmtFill {
     bool attempted = false;
     Status status = Status::OK();
-    std::optional<Statement> stmt;
+    std::optional<FilledStatement> stmt;
   };
   std::vector<StmtFill> slots(sketch.statements.size());
   ParallelForOptions pf;
@@ -356,7 +372,7 @@ Result<SynthesisReport> Synthesizer::FillSingleDag(
       [&](int64_t i) {
         StmtFill& slot = slots[static_cast<size_t>(i)];
         slot.attempted = true;
-        Result<std::optional<Statement>> filled = FillStatementSketch(
+        Result<std::optional<FilledStatement>> filled = FillStatementSketch(
             sketch.statements[static_cast<size_t>(i)], data, options_.fill,
             cancel);
         if (filled.ok()) {
@@ -371,14 +387,15 @@ Result<SynthesisReport> Synthesizer::FillSingleDag(
     if (!slot.attempted) return cancel.CheckTimeout("sketch fill");
     GUARDRAIL_RETURN_NOT_OK(slot.status);
     if (slot.stmt.has_value()) {
-      program.statements.push_back(std::move(*slot.stmt));
+      program.statements.push_back(std::move(slot.stmt->statement));
+      report.statement_coverages.push_back(slot.stmt->coverage);
     }
     ++report.cache_misses;
   }
   (void)pf_status;  // Skipped statements already reported per-slot above.
   GUARDRAIL_COUNTER_ADD("sketch_filler.cache_misses", report.cache_misses);
   report.fill_seconds = fill_span.ElapsedSeconds();
-  report.coverage = ProgramCoverage(program, data);
+  report.coverage = ProgramCoverageOf(report.statement_coverages);
   report.program = std::move(program);
   report.chosen_sketch = std::move(sketch);
   // Single member: the raw union is the program itself, in canonical order.
@@ -630,16 +647,19 @@ SynthesisReport Synthesizer::SynthesizeImpl(
       NonTrivialityChecker checker(&data, options_.gnt_ci);
       ProgramSketch kept_sketch;
       Program kept_program;
+      std::vector<double> kept_coverages;
       for (size_t i = 0; i < report.chosen_sketch.statements.size(); ++i) {
         const StatementSketch& sketch = report.chosen_sketch.statements[i];
         if (checker.IsGloballyNonTrivial(report.chosen_sketch, sketch)) {
           kept_sketch.statements.push_back(sketch);
           // The filled program may have dropped some sketch statements
           // (bottom); match by header.
-          for (const auto& stmt : report.program.statements) {
+          for (size_t j = 0; j < report.program.statements.size(); ++j) {
+            const Statement& stmt = report.program.statements[j];
             if (stmt.determinants == sketch.determinants &&
                 stmt.dependent == sketch.dependent) {
               kept_program.statements.push_back(stmt);
+              kept_coverages.push_back(report.statement_coverages[j]);
               break;
             }
           }
@@ -649,7 +669,8 @@ SynthesisReport Synthesizer::SynthesizeImpl(
       }
       report.chosen_sketch = std::move(kept_sketch);
       report.program = std::move(kept_program);
-      report.coverage = ProgramCoverage(report.program, data);
+      report.statement_coverages = std::move(kept_coverages);
+      report.coverage = ProgramCoverageOf(report.statement_coverages);
     }
   }
 

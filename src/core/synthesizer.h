@@ -132,7 +132,11 @@ struct SynthesisReport {
   pgm::Pdag cpdag;
   int64_t num_dags_enumerated = 0;
   int64_t num_ci_tests = 0;
+  /// ProgramCoverage(program, data), averaged from statement_coverages.
   double coverage = 0.0;
+  /// cov(s, D) of each statement of `program`, in program order, as its
+  /// fill counted it (bit-identical to StatementCoverage).
+  std::vector<double> statement_coverages;
 
   // Wall-clock breakdown (seconds).
   double sampling_seconds = 0.0;
@@ -230,15 +234,17 @@ class Synthesizer {
       const pgm::Pdag& cpdag, const Table& data,
       const CancellationToken& cancel) const;
 
+  /// The kHillClimb rung's fill: fills the sketch of one DAG (no MEC, no
+  /// statement cache) and minimizes it as a one-member ensemble. Returns
+  /// Status::Timeout when `cancel` fires before every statement is filled.
+  Result<SynthesisReport> FillSingleDag(const pgm::Dag& dag, const Table& data,
+                                        const CancellationToken& cancel) const;
+
  private:
   /// The ladder body; Synthesize wraps it in the root "synthesize" telemetry
   /// span and stamps total_seconds from that span's clock.
   SynthesisReport SynthesizeImpl(const Table& data, Rng* rng,
                                  const CancellationToken& cancel) const;
-
-  /// Rung kHillClimb / kSingleDag helper: fill the sketch of one DAG.
-  Result<SynthesisReport> FillSingleDag(const pgm::Dag& dag, const Table& data,
-                                        const CancellationToken& cancel) const;
 
   /// Post-synthesis invariant check: statically analyzes report->program,
   /// WARN-logs findings, and under verify_programs fails `verification` on

@@ -29,19 +29,20 @@ struct FeatureLayout {
   std::vector<Slot> slots;
 
   /// Derives `slots` from `offsets` once they are final. An attribute's
-  /// block runs up to the next attribute's offset, or to the end when the
-  /// next attribute is the label column or the last one.
+  /// block runs up to the next non-label attribute's offset, or to the end
+  /// for the last one.
   void BuildSlots() {
     slots.clear();
-    for (size_t a = 0; a < offsets.size(); ++a) {
+    int32_t next = num_features;
+    for (size_t a = offsets.size(); a-- > 0;) {
       const int32_t offset = offsets[a];
       if (offset < 0) continue;
-      const int32_t next = a + 1 < offsets.size() && offsets[a + 1] >= 0
-                               ? offsets[a + 1]
-                               : num_features;
-      if (next - offset <= 0) continue;
-      slots.push_back({static_cast<AttrIndex>(a), offset, next - offset});
+      if (next - offset > 0) {
+        slots.push_back({static_cast<AttrIndex>(a), offset, next - offset});
+      }
+      next = offset;
     }
+    std::reverse(slots.begin(), slots.end());
   }
 };
 

@@ -1,6 +1,8 @@
 #include "pgm/ci_test.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -118,6 +120,86 @@ CiResult GSquareTest::MarginalFromCounts(const int64_t* counts, int64_t total,
 GSquareTest::GSquareTest(const EncodedData* data, Options options)
     : data_(data), options_(options) {
   GUARDRAIL_CHECK(data != nullptr);
+  PackBitPlanes();
+}
+
+void GSquareTest::PackBitPlanes() {
+  for (int32_t card : data_->cardinalities) {
+    if (card != 2) return;
+  }
+  const int64_t n = data_->num_rows;
+  const int64_t words = (n + 63) / 64;
+  std::vector<uint64_t> planes(
+      static_cast<size_t>(words) * data_->columns.size(), 0);
+  for (size_t c = 0; c < data_->columns.size(); ++c) {
+    const std::vector<ValueId>& column = data_->columns[c];
+    uint64_t* plane = planes.data() + c * static_cast<size_t>(words);
+    for (int64_t r = 0; r < n; ++r) {
+      const ValueId v = column[static_cast<size_t>(r)];
+      if (v != 0 && v != 1) return;  // NULL or past 1: scalar paths only.
+      plane[r / 64] |= static_cast<uint64_t>(v) << (r % 64);
+    }
+  }
+  planes_ = std::move(planes);
+  words_ = words;
+  bit_sliced_ = true;
+}
+
+CiResult GSquareTest::BitSlicedTest(int32_t x, int32_t y,
+                                    const std::vector<int32_t>& z) const {
+  constexpr size_t kMaxStrata = size_t{1} << kMaxBitSlicedConditions;
+  const size_t num_z = z.size();
+  const size_t num_strata = size_t{1} << num_z;
+  auto plane = [&](int32_t c) {
+    return planes_.data() + static_cast<size_t>(c) * static_cast<size_t>(words_);
+  };
+  const uint64_t* px = plane(x);
+  const uint64_t* py = plane(y);
+  std::array<const uint64_t*, kMaxBitSlicedConditions> pz{};
+  for (size_t i = 0; i < num_z; ++i) pz[i] = plane(z[i]);
+  const int64_t tail_bits = data_->num_rows % 64;
+
+  // Per stratum: rows, rows with x = 1, with y = 1, with both.
+  std::array<int64_t, kMaxStrata> n_all{}, n_x{}, n_y{}, n_xy{};
+  std::array<uint64_t, kMaxStrata> masks{};
+  for (int64_t w = 0; w < words_; ++w) {
+    masks[0] = (w + 1 < words_ || tail_bits == 0)
+                   ? ~uint64_t{0}
+                   : (uint64_t{1} << tail_bits) - 1;
+    // Split every stratum on z[i]: stratum j becomes 2j (z[i] = 0) and
+    // 2j + 1 (z[i] = 1), so the final index is the scalar paths' radix key
+    // (z[0] most significant). Descending j reads each mask before its
+    // slot is overwritten.
+    for (size_t i = 0; i < num_z; ++i) {
+      const uint64_t zw = pz[i][w];
+      for (size_t j = size_t{1} << i; j-- > 0;) {
+        const uint64_t m = masks[j];
+        masks[2 * j + 1] = m & zw;
+        masks[2 * j] = m & ~zw;
+      }
+    }
+    const uint64_t xw = px[w];
+    const uint64_t yw = py[w];
+    const uint64_t xyw = xw & yw;
+    for (size_t s = 0; s < num_strata; ++s) {
+      const uint64_t m = masks[s];
+      n_all[s] += std::popcount(m);
+      n_x[s] += std::popcount(m & xw);
+      n_y[s] += std::popcount(m & yw);
+      n_xy[s] += std::popcount(m & xyw);
+    }
+  }
+  G2Scratch& margins = GetCiScratch().margins;
+  double g2 = 0.0;
+  double dof = 0.0;
+  for (size_t s = 0; s < num_strata; ++s) {
+    // The dense path's row-major 2 x 2 table, cell vx * 2 + vy.
+    const std::array<int64_t, 4> counts = {
+        n_all[s] - n_x[s] - n_y[s] + n_xy[s], n_y[s] - n_xy[s],
+        n_x[s] - n_xy[s], n_xy[s]};
+    G2FromCounts(counts.data(), n_all[s], 2, 2, &margins, &g2, &dof);
+  }
+  return Verdict(g2, dof, options_);
 }
 
 CiResult GSquareTest::Test(int32_t x, int32_t y,
@@ -137,6 +219,10 @@ CiResult GSquareTest::Test(int32_t x, int32_t y,
     CiResult result;
     result.reliable = false;
     return result;
+  }
+
+  if (bit_sliced_ && z.size() <= kMaxBitSlicedConditions) {
+    return BitSlicedTest(x, y, z);
   }
 
   const auto& cx = data_->columns[static_cast<size_t>(x)];

@@ -44,10 +44,19 @@ void G2FromCounts(const int64_t* counts, int64_t total, int32_t rows,
 /// G-squared (likelihood-ratio) conditional-independence test on categorical
 /// data, the standard test driving the PC algorithm.
 ///
+/// When every column of the data is binary and NULL-free (every auxiliary
+/// sample, Def. 4.5), the constructor packs each column once into 64-row
+/// bit planes and Test() counts each stratum of a conditioning set of at
+/// most kMaxBitSlicedConditions variables with popcounts; other data and
+/// larger conditioning sets take the scalar dense and hash paths. All paths
+/// build the same per-stratum tables and sum them in ascending key order, so
+/// statistic, dof and verdict are bit-identical whichever ran. The data is
+/// read at construction and must not change while the test is in use.
+///
 /// Test() is safe to call concurrently from multiple threads on the same
 /// instance: the contingency scratch lives in thread-local storage (reused
-/// across calls, so the steady state allocates nothing) and the test counter
-/// is a relaxed atomic.
+/// across calls, so the steady state allocates nothing), the bit planes are
+/// read-only, and the test counter is a relaxed atomic.
 class GSquareTest {
  public:
   struct Options {
@@ -65,10 +74,18 @@ class GSquareTest {
     int64_t max_dense_cells = int64_t{1} << 20;
   };
 
+  /// Conditioning sets up to this size (16 strata) are counted on the bit
+  /// planes; PC's default max_condition_size of 3 stays within it.
+  static constexpr size_t kMaxBitSlicedConditions = 4;
+
   GSquareTest(const EncodedData* data, Options options);
 
   /// Tests x independent-of y given the conditioning set z. Thread-safe.
   CiResult Test(int32_t x, int32_t y, const std::vector<int32_t>& z) const;
+
+  /// True when the data packed into bit planes (every column binary and
+  /// NULL-free), so tests with small conditioning sets count by popcount.
+  bool bit_sliced() const { return bit_sliced_; }
 
   int64_t num_tests_run() const {
     return num_tests_.load(std::memory_order_relaxed);
@@ -86,8 +103,20 @@ class GSquareTest {
                                      int32_t card_y, const Options& options);
 
  private:
+  /// Packs every column into `planes_` when all are binary and NULL-free.
+  void PackBitPlanes();
+  /// Test() for |z| <= kMaxBitSlicedConditions, counted on the bit planes
+  /// (after the power heuristic passed).
+  CiResult BitSlicedTest(int32_t x, int32_t y,
+                         const std::vector<int32_t>& z) const;
+
   const EncodedData* data_;
   Options options_;
+  /// Column c's rows, 64 per word (row r at bit r % 64 of word r / 64), at
+  /// planes_[c * words_, (c + 1) * words_); bits past the last row are 0.
+  std::vector<uint64_t> planes_;
+  int64_t words_ = 0;
+  bool bit_sliced_ = false;
   mutable std::atomic<int64_t> num_tests_{0};
 };
 

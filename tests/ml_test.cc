@@ -102,6 +102,31 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param->name();
     });
 
+TEST(LogisticRegressionTest, OutOfVocabularyCodeStaysInItsOwnBlock) {
+  // f0 sits just before the label column and f2 after it, fully determined
+  // by the label, so f2's one-hot weights are large. An unseen f0 code
+  // hash-buckets into f0's own block: code domain + k reads f0's feature k,
+  // never one of f2's features.
+  std::vector<SemNode> nodes(3);
+  nodes[0] = {"f0", 3, {}, 0.0};
+  nodes[1] = {"label", 2, {}, 0.0};
+  nodes[2] = {"f2", 4, {1}, 0.0};
+  SemModel sem(std::move(nodes), 91);
+  Rng rng(8);
+  Table train = sem.Sample(2000, &rng);
+  auto model = LogisticRegressionTrainer().Train(train, 1);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const int32_t domain = train.schema().attribute(0).domain_size();
+  ASSERT_GT(domain, 1);
+  for (ValueId k = 0; k < domain; ++k) {
+    const Row unseen = {domain + k, kNullValue, kNullValue};
+    const Row seen = {k, kNullValue, kNullValue};
+    EXPECT_EQ((*model)->PredictProbabilities(unseen),
+              (*model)->PredictProbabilities(seen))
+        << "code " << domain + k;
+  }
+}
+
 TEST(MajorityTrainerTest, PredictsMode) {
   Schema schema({Attribute("x"), Attribute("label")});
   Table t(std::move(schema));

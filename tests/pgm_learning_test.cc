@@ -107,6 +107,96 @@ TEST(GSquareTest, SkipsNullRows) {
   EXPECT_FALSE(test.Test(0, 1, {}).independent);
 }
 
+// Random binary columns where each variable past the first copies an
+// earlier one with probability 0.7 (so most tests see real dependence).
+EncodedData MakeBinaryData(int64_t rows, int32_t vars, uint64_t seed) {
+  Rng rng(seed);
+  EncodedData data;
+  data.cardinalities.assign(static_cast<size_t>(vars), 2);
+  data.columns.assign(static_cast<size_t>(vars), {});
+  data.num_rows = rows;
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int32_t v = 0; v < vars; ++v) {
+      ValueId value = static_cast<ValueId>(rng.NextUint64(2));
+      if (v > 0 && rng.NextBernoulli(0.7)) {
+        value = data.columns[rng.NextUint64(static_cast<uint64_t>(v))].back();
+      }
+      data.columns[static_cast<size_t>(v)].push_back(value);
+    }
+  }
+  return data;
+}
+
+void ExpectSameResult(const CiResult& a, const CiResult& b) {
+  EXPECT_EQ(a.statistic, b.statistic);
+  EXPECT_EQ(a.dof, b.dof);
+  EXPECT_EQ(a.p_value, b.p_value);
+  EXPECT_EQ(a.independent, b.independent);
+  EXPECT_EQ(a.reliable, b.reliable);
+}
+
+TEST(GSquareTest, BitSlicedMatchesScalarDense) {
+  // The same binary sample with one 3-valued column appended (never tested)
+  // runs the scalar dense path; every field must match bit for bit. The
+  // permissive options skip the power heuristic so tiny samples still reach
+  // the kernel; |z| = 5 is past the bit-sliced gate on both sides.
+  constexpr int32_t kVars = 8;
+  GSquareTest::Options permissive;
+  permissive.min_samples_per_dof = 0.0;
+  for (int64_t n : {2, 63, 64, 65, 4097}) {
+    EncodedData binary = MakeBinaryData(n, kVars, 500 + static_cast<uint64_t>(n));
+    EncodedData mixed = binary;
+    mixed.cardinalities.push_back(3);
+    mixed.columns.emplace_back();
+    for (int64_t r = 0; r < n; ++r) {
+      mixed.columns.back().push_back(static_cast<ValueId>(r % 3));
+    }
+    for (const GSquareTest::Options& options :
+         {GSquareTest::Options{}, permissive}) {
+      GSquareTest sliced(&binary, options);
+      GSquareTest scalar(&mixed, options);
+      ASSERT_TRUE(sliced.bit_sliced());
+      ASSERT_FALSE(scalar.bit_sliced());
+      Rng rng(static_cast<uint64_t>(n));
+      for (int32_t x = 0; x < kVars; ++x) {
+        for (int32_t y = 0; y < kVars; ++y) {
+          if (x == y) continue;
+          std::vector<int32_t> rest;
+          for (int32_t v = 0; v < kVars; ++v) {
+            if (v != x && v != y) rest.push_back(v);
+          }
+          rng.Shuffle(&rest);
+          for (size_t k = 0; k <= 5; ++k) {
+            std::vector<int32_t> z(rest.begin(), rest.begin() + k);
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " x=" << x << " y=" << y
+                         << " |z|=" << k);
+            ExpectSameResult(sliced.Test(x, y, z), scalar.Test(x, y, z));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GSquareTest, NullOrOutOfRangeCodesKeepTheScalarPath) {
+  EncodedData binary = MakeBinaryData(300, 4, 77);
+  GSquareTest sliced(&binary, {});
+  ASSERT_TRUE(sliced.bit_sliced());
+
+  EncodedData with_null = binary;
+  with_null.columns[3][10] = kNullValue;
+  GSquareTest null_test(&with_null, {});
+  EXPECT_FALSE(null_test.bit_sliced());
+  // Column 3 is untested, so its NULL drops no row of these tests.
+  ExpectSameResult(null_test.Test(0, 1, {2}), sliced.Test(0, 1, {2}));
+
+  EncodedData with_code_two = binary;
+  with_code_two.columns[2][0] = 2;
+  GSquareTest code_two_test(&with_code_two, {});
+  EXPECT_FALSE(code_two_test.bit_sliced());
+}
+
 // ------------------------------------------------------------------- PC --
 
 // A forked SEM: 0 -> 1, 0 -> 2, 3 -> 4 (two components).

@@ -171,7 +171,142 @@ TEST_F(FillerTest, NullCellsAreSkipped) {
   }
 }
 
+// The chain data with NULLs in every column: dependents and determinants
+// both, so some matched rows carry no dependent value.
+Table WithScatteredNulls(const Table& data) {
+  Table out = data;
+  for (RowIndex r = 0; r < out.num_rows(); ++r) {
+    if (r % 7 == 0) out.Set(r, 1, kNullValue);
+    if (r % 11 == 3) out.Set(r, 0, kNullValue);
+    if (r % 13 == 5) out.Set(r, 2, kNullValue);
+  }
+  return out;
+}
+
+TEST_F(FillerTest, FillTimeCoverageEqualsStatementCoverage) {
+  const Table data = WithScatteredNulls(data_);
+  std::vector<StatementSketch> sketches(4);
+  sketches[0].determinants = {0};
+  sketches[0].dependent = 1;
+  sketches[1].determinants = {1};
+  sketches[1].dependent = 2;
+  sketches[2].determinants = {0, 1};
+  sketches[2].dependent = 2;
+  sketches[3].determinants = {2};
+  sketches[3].dependent = 0;
+  bool saw_null_dependent = false;
+  bool saw_dropped_branch = false;
+  for (const StatementSketch& sketch : sketches) {
+    for (int64_t cap : {int64_t{4096}, int64_t{2}}) {
+      for (int64_t min_support : {int64_t{5}, int64_t{150}}) {
+        for (double epsilon : {0.0, 0.05}) {
+          FillOptions options;
+          options.max_conditions_per_statement = cap;
+          options.min_branch_support = min_support;
+          options.epsilon = epsilon;
+          SCOPED_TRACE(::testing::Message()
+                       << "dependent=" << sketch.dependent << " cap=" << cap
+                       << " min_support=" << min_support
+                       << " epsilon=" << epsilon);
+          std::optional<FilledStatement> filled =
+              FillStatementSketch(sketch, data, options,
+                                  CancellationToken::Never())
+                  .value();
+          std::optional<Statement> plain =
+              FillStatementSketch(sketch, data, options);
+          ASSERT_EQ(filled.has_value(), plain.has_value());
+          if (!filled.has_value()) continue;
+          EXPECT_EQ(filled->statement, *plain);
+          EXPECT_EQ(filled->coverage,
+                    StatementCoverage(filled->statement, data));
+          int64_t support = 0;
+          for (const Branch& b : filled->statement.branches) {
+            support += b.support;
+          }
+          // Coverage counts NULL-dependent rows that support does not.
+          const double support_share = static_cast<double>(support) /
+                                       static_cast<double>(data.num_rows());
+          saw_null_dependent =
+              saw_null_dependent || filled->coverage > support_share;
+          FillOptions loose = options;
+          loose.max_conditions_per_statement = 4096;
+          loose.min_branch_support = 1;
+          loose.epsilon = 1.0;
+          saw_dropped_branch =
+              saw_dropped_branch ||
+              FillStatementSketch(sketch, data, loose)->branches.size() >
+                  filled->statement.branches.size();
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_null_dependent);
+  EXPECT_TRUE(saw_dropped_branch);
+}
+
+TEST(FillerCoverageTest, ShardedScanCountsCoverageExactly) {
+  // More than one 8192-row scan shard, filled serially and on four threads:
+  // the shards' matched counts merge like their supports.
+  SemModel sem = MakeChainSem(/*noise=*/0.03);
+  Rng rng(6);
+  const Table data = WithScatteredNulls(sem.Sample(20000, &rng));
+  StatementSketch sketch;
+  sketch.determinants = {0, 1};
+  sketch.dependent = 2;
+  for (int threads : {1, 4}) {
+    FillOptions options;
+    options.epsilon = 0.05;
+    options.num_threads = threads;
+    std::optional<FilledStatement> filled =
+        FillStatementSketch(sketch, data, options, CancellationToken::Never())
+            .value();
+    ASSERT_TRUE(filled.has_value());
+    EXPECT_EQ(filled->coverage, StatementCoverage(filled->statement, data))
+        << "threads=" << threads;
+  }
+}
+
 // ------------------------------------------------------------ synthesizer --
+
+// The report's memoized coverages equal a rescan of the table bit for bit.
+void ExpectCoverageMatchesRescan(const SynthesisReport& report,
+                                 const Table& data) {
+  EXPECT_EQ(report.coverage, ProgramCoverage(report.program, data));
+  ASSERT_EQ(report.statement_coverages.size(),
+            report.program.statements.size());
+  for (size_t i = 0; i < report.program.statements.size(); ++i) {
+    EXPECT_EQ(report.statement_coverages[i],
+              StatementCoverage(report.program.statements[i], data))
+        << "statement " << i;
+  }
+}
+
+TEST(SynthesizerTest, MemoizedCoverageMatchesRescanOnEveryPath) {
+  SemModel sem = MakeChainSem(/*noise=*/0.03);
+  Rng rng(31);
+  const Table data = WithScatteredNulls(sem.Sample(3000, &rng));
+  SynthesisOptions options;
+  options.fill.epsilon = 0.05;
+  Synthesizer synth(options);
+
+  // Full MEC: six member DAGs share statements through the cache.
+  SynthesisReport mec =
+      synth.SynthesizeFromMec(pgm::Pdag::CompleteUndirected(3), data);
+  EXPECT_EQ(mec.num_dags_enumerated, 6);
+  ASSERT_FALSE(mec.program.empty());
+  ExpectCoverageMatchesRescan(mec, data);
+
+  // Single DAG, the hill-climb rung's fill.
+  pgm::Dag dag(3);
+  dag.AddEdge(0, 1);
+  dag.AddEdge(0, 2);
+  dag.AddEdge(1, 2);
+  Result<SynthesisReport> single =
+      synth.FillSingleDag(dag, data, CancellationToken::Never());
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ASSERT_FALSE(single->program.empty());
+  ExpectCoverageMatchesRescan(*single, data);
+}
 
 TEST(SynthesizerTest, RecoversChainConstraints) {
   SemModel sem = MakeChainSem();
@@ -301,7 +436,7 @@ TEST(SynthesizerTest, GntEnforcementDropsRedundantStatements) {
   EXPECT_TRUE(checker.IsGloballyNonTrivial(report.chosen_sketch));
   EXPECT_GE(report.gnt_statements_dropped, 0);
   // Coverage was recomputed for the filtered program.
-  EXPECT_NEAR(report.coverage, ProgramCoverage(report.program, data), 1e-9);
+  ExpectCoverageMatchesRescan(report, data);
 }
 
 // --------------------------------------------------------- nontriviality --
