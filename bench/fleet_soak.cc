@@ -5,9 +5,9 @@
 // connections mid-request. Every pooled response is compared byte-for-byte
 // against an offline Guard pass of the same batch — the bench doubles as a
 // correctness gate and exits nonzero on any lost, failed, or mismatched
-// batch. Time-bounded: GUARDRAIL_SOAK_SECONDS (default 10, CI uses <= 30);
-// GUARDRAIL_BENCH_FAST=1 shrinks to 3 s. Results go to
-// BENCH_fleet_soak.json.
+// batch, or when the soak ended before any node was killed. Time-bounded:
+// GUARDRAIL_SOAK_SECONDS (default 10, CI uses <= 30); GUARDRAIL_BENCH_FAST=1
+// shrinks to 3 s.
 
 #include <atomic>
 #include <chrono>
@@ -284,26 +284,10 @@ int Run() {
               kNodes, workers, rows_per_batch);
   table.Print();
 
-  std::string json = "[\n  {\"bench\": \"fleet_soak\"";
-  json += ", \"soak_seconds\": " + std::to_string(soak_seconds);
-  json += ", \"node_kills\": " + std::to_string(kills);
-  json += ", \"batches_ok\": " + std::to_string(stats.batches_ok.load());
-  json += ", \"batches_failed\": " + std::to_string(stats.batches_failed.load());
-  json += ", \"rows_checked\": " + std::to_string(stats.rows_checked.load());
-  json += ", \"rows_repaired\": " + std::to_string(stats.repaired_rows.load());
-  json += ", \"mismatched_rows\": " +
-          std::to_string(stats.mismatched_rows.load());
-  json += ", \"replica_attempts\": " + std::to_string(attempts);
-  json += ", \"replica_failures\": " + std::to_string(failures);
-  json += "}\n]\n";
-  if (std::FILE* f = std::fopen("BENCH_fleet_soak.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_fleet_soak.json\n");
-  }
-
   // Correctness gate: verdicts must be byte-identical to the offline Guard
-  // and no batch may be lost despite the kill/restart churn.
+  // and no batch may be lost despite the kill/restart churn, which must
+  // have happened at least once.
+  if (kills == 0) return 1;
   if (stats.mismatched_rows.load() > 0) return 1;
   if (stats.batches_failed.load() > 0) return 1;
   if (stats.batches_ok.load() == 0) return 1;

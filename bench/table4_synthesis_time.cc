@@ -17,16 +17,13 @@ namespace {
 
 // Thread-scaling sweep for the parallel synthesis engine: re-run a
 // representative dataset at 1/2/4/8 threads and record the synthesize-span
-// wall-clock. Results are written as BENCH_table4_thread_scaling.json (one
-// object per thread count) so plotting scripts can consume them alongside
-// the table output. Speedups depend on the host's core count; on a 1-core
-// CI box all four rows are expected to be flat.
+// wall-clock. Speedups depend on the host's core count; on a 1-core CI box
+// all four rows are expected to be flat.
 int RunThreadScaling() {
   const int kThreads[] = {1, 2, 4, 8};
   const int dataset_id = bench::BenchDatasetIds().front();
   bench::TextTable table(
       {"Threads", "Synthesize (s)", "Structure", "Fill", "Speedup"});
-  std::string json = "[\n";
   double baseline = 0.0;
   for (int t : kThreads) {
     bench::ResetBenchTelemetry();
@@ -47,24 +44,11 @@ int RunThreadScaling() {
     table.AddRow({bench::FmtInt(t), bench::Fmt(total, 4),
                   bench::Fmt(structure, 4), bench::Fmt(fill, 4),
                   total > 0 ? bench::Fmt(baseline / total, 2) + "x" : "-"});
-    json += "  {\"bench\": \"table4_thread_scaling\", \"dataset\": " +
-            std::to_string(dataset_id) +
-            ", \"threads\": " + std::to_string(t) +
-            ", \"synthesize_seconds\": " + bench::Fmt(total, 6) +
-            ", \"structure_seconds\": " + bench::Fmt(structure, 6) +
-            ", \"fill_seconds\": " + bench::Fmt(fill, 6) + "}";
-    json += (t == kThreads[3]) ? "\n" : ",\n";
   }
   ThreadPool::SetSharedWorkers(ThreadPool::DefaultThreads() - 1);
-  json += "]\n";
   std::printf("\nThread scaling (dataset %d; output programs are identical "
               "at every width):\n\n", dataset_id);
   table.Print();
-  if (std::FILE* f = std::fopen("BENCH_table4_thread_scaling.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_table4_thread_scaling.json\n");
-  }
   return 0;
 }
 

@@ -3,12 +3,18 @@
 // ML-integrated query workload behind a rectifying guard. Also reports the
 // vectorized-engine ablation per dataset — rows/sec through the scalar
 // interpreter loop vs. the compiled columnar engine (docs/PERFORMANCE.md) —
-// and writes both series to BENCH_table6_runtime_overhead.json.
+// and the raw member-DAG ensemble vs. its certified minimization.
+//
+// Exits 1 when, on any dataset, the compiled kernel is slower than the
+// interpreter, the minimized program is slower than the raw ensemble, the
+// minimization dropped no statement, or either pair disagrees on the rows
+// it flags.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/telemetry/state.h"
@@ -26,6 +32,7 @@ struct KernelSample {
   double interp_rows_per_sec = 0.0;
   double compiled_rows_per_sec = 0.0;
   double speedup = 0.0;
+  bool verdicts_match = true;
 };
 
 // Best-of-3 rows/sec for ProcessTable in interpreter vs. compiled mode over
@@ -63,6 +70,7 @@ KernelSample MeasureKernel(const core::Guard& guard, const Table& dirty) {
   telemetry::EnableMetrics(false);
   double interp_best = 0.0;
   double compiled_best = 0.0;
+  KernelSample sample;
   for (int rep = 0; rep < 3; ++rep) {
     auto t0 = clock::now();
     core::GuardOutcome scalar = guard.ProcessTable(
@@ -79,10 +87,10 @@ KernelSample MeasureKernel(const core::Guard& guard, const Table& dirty) {
       std::fprintf(stderr, "kernel verdict mismatch: %lld vs %lld\n",
                    static_cast<long long>(batched.rows_flagged),
                    static_cast<long long>(scalar.rows_flagged));
+      sample.verdicts_match = false;
     }
   }
   telemetry::EnableMetrics(true);
-  KernelSample sample;
   sample.interp_rows_per_sec = interp_best;
   sample.compiled_rows_per_sec = compiled_best;
   sample.speedup =
@@ -96,6 +104,7 @@ struct MinimizationSample {
   double ensemble_rows_per_sec = 0.0;
   double minimized_rows_per_sec = 0.0;
   double speedup = 0.0;
+  bool verdicts_match = true;
 };
 
 // Best-of-3 compiled-engine rows/sec for the raw member-DAG ensemble union
@@ -151,6 +160,7 @@ MinimizationSample MeasureMinimization(const core::SynthesisReport& synth,
       std::fprintf(stderr, "minimized verdict mismatch: %lld vs %lld\n",
                    static_cast<long long>(minimized.rows_flagged),
                    static_cast<long long>(raw.rows_flagged));
+      sample.verdicts_match = false;
     }
   }
   telemetry::EnableMetrics(true);
@@ -174,7 +184,7 @@ int Run() {
   double total_guard = 0.0;
   double total_speedup = 0.0;
   int datasets = 0;
-  std::string json = "[\n";
+  std::vector<std::string> failures;
   for (int id : bench::BenchDatasetIds()) {
     bench::ResetBenchTelemetry();
     exp::ExperimentConfig config = bench::DefaultBenchConfig();
@@ -210,8 +220,23 @@ int Run() {
         MeasureMinimization(p.synthesis, p.test_dirty);
     total_guard += guard_seconds;
     total_speedup += kernel.speedup;
-    if (datasets > 0) json += ",\n";
     ++datasets;
+    auto gate = [&](bool holds, const char* what) {
+      if (!holds) {
+        failures.push_back("dataset " + std::to_string(id) + ": " + what);
+      }
+    };
+    gate(kernel.verdicts_match, "compiled and interpreter verdicts differ");
+    gate(kernel.compiled_rows_per_sec >= kernel.interp_rows_per_sec,
+         "compiled kernel slower than interpreter");
+    gate(minimization.verdicts_match,
+         "minimized and raw ensemble verdicts differ");
+    gate(minimization.minimized_rows_per_sec >=
+             minimization.ensemble_rows_per_sec,
+         "minimized program slower than raw ensemble");
+    gate(minimization.minimized_statements <
+             minimization.ensemble_statements,
+         "minimization dropped no statement");
     table.AddRow({bench::FmtInt(id), bench::Fmt(guard_seconds, 4),
                   bench::Fmt(inference_seconds, 4),
                   inference_seconds > 0
@@ -228,31 +253,7 @@ int Run() {
                   bench::FmtInt(static_cast<int64_t>(
                       minimization.minimized_rows_per_sec)),
                   bench::Fmt(minimization.speedup, 2)});
-    json += "  {\"dataset\": " + std::to_string(id);
-    json += ", \"guard_seconds\": " + bench::Fmt(guard_seconds, 6);
-    json += ", \"inference_seconds\": " + bench::Fmt(inference_seconds, 6);
-    json += ", \"rows_guarded\": " +
-            std::to_string(stats.rows_after_pushdown);
-    json += ", \"interp_rows_per_sec\": " +
-            std::to_string(static_cast<int64_t>(kernel.interp_rows_per_sec));
-    json += ", \"compiled_rows_per_sec\": " +
-            std::to_string(static_cast<int64_t>(kernel.compiled_rows_per_sec));
-    json += ", \"speedup\": " + bench::Fmt(kernel.speedup, 3);
-    json += ", \"ensemble_statements\": " +
-            std::to_string(minimization.ensemble_statements);
-    json += ", \"minimized_statements\": " +
-            std::to_string(minimization.minimized_statements);
-    json += ", \"ensemble_rows_per_sec\": " +
-            std::to_string(
-                static_cast<int64_t>(minimization.ensemble_rows_per_sec));
-    json += ", \"minimized_rows_per_sec\": " +
-            std::to_string(
-                static_cast<int64_t>(minimization.minimized_rows_per_sec));
-    json += ", \"minimization_speedup\": " +
-            bench::Fmt(minimization.speedup, 3);
-    json += "}";
   }
-  json += "\n]\n";
   std::printf("Table 6: runtime overheads and breakdown\n\n");
   table.Print();
   std::printf(
@@ -263,12 +264,10 @@ int Run() {
   std::printf(
       "Average compiled/interpreter speedup: %.2fx across %d datasets.\n",
       datasets > 0 ? total_speedup / datasets : 0.0, datasets);
-  if (std::FILE* f = std::fopen("BENCH_table6_runtime_overhead.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_table6_runtime_overhead.json\n");
+  for (const std::string& failure : failures) {
+    std::fprintf(stderr, "gate failed: %s\n", failure.c_str());
   }
-  return 0;
+  return failures.empty() ? 0 : 1;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/interpreter.h"
 #include "core/parser.h"
 #include "core/printer.h"
+#include "core/serialization.h"
 
 namespace guardrail {
 namespace analysis {
@@ -255,6 +256,9 @@ std::string JoinIndices(const std::vector<size_t>& v) {
 constexpr const char* kCertificateFormat =
     "guardrail-minimization-certificate-v1";
 
+// The marker comment (serialized as `# guardrail-minimized`).
+constexpr const char* kMinimizedComment = "guardrail-minimized";
+
 }  // namespace
 
 uint64_t CanonicalProgramHash(const core::Program& program,
@@ -262,8 +266,17 @@ uint64_t CanonicalProgramHash(const core::Program& program,
   return Fnv1a(core::ToDsl(program, schema));
 }
 
+std::string SerializeMinimizedProgram(const core::Program& program,
+                                      const Schema& schema,
+                                      const std::string& comment) {
+  return core::SerializeProgram(
+      program, schema,
+      comment.empty() ? kMinimizedComment
+                      : std::string(kMinimizedComment) + "\n" + comment);
+}
+
 bool HasMinimizedMarker(const std::string& program_text) {
-  const std::string marker(kMinimizedMarker);
+  const std::string marker = std::string("# ") + kMinimizedComment;
   size_t pos = 0;
   while (pos <= program_text.size()) {
     if (program_text.compare(pos, marker.size(), marker) == 0) return true;

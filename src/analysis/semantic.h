@@ -91,9 +91,13 @@ Status VerifyCertificate(const std::string& certificate_json,
 uint64_t CanonicalProgramHash(const core::Program& program,
                               const Schema& schema);
 
-/// Marker comment line (`# guardrail-minimized`) carried by serialized
-/// minimized programs; the registry's publish gate keys off it.
-inline constexpr const char* kMinimizedMarker = "# guardrail-minimized";
+/// `core::SerializeProgram` with the minimized-program marker
+/// (`# guardrail-minimized`) as the first comment line, then `comment`.
+/// The registry's publish gate demands a certificate for any program text
+/// carrying the marker.
+std::string SerializeMinimizedProgram(const core::Program& program,
+                                      const Schema& schema,
+                                      const std::string& comment = "");
 
 /// True when any line of `program_text` starts with the marker.
 bool HasMinimizedMarker(const std::string& program_text);

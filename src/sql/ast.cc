@@ -35,8 +35,12 @@ std::string SqlValue::ToDisplayString() const {
 }
 
 int SqlValue::Compare(const SqlValue& other) const {
+  // NaN has no place among the numbers' order, so it sorts as text.
   double a, b;
-  if (ToNumber(&a) && other.ToNumber(&b)) {
+  const bool a_number = ToNumber(&a) && !std::isnan(a);
+  const bool b_number = other.ToNumber(&b) && !std::isnan(b);
+  if (a_number != b_number) return a_number ? -1 : 1;
+  if (a_number) {
     if (a < b) return -1;
     if (a > b) return 1;
     return 0;

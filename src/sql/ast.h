@@ -52,8 +52,9 @@ class SqlValue {
   /// Display form (NULL -> "NULL").
   std::string ToDisplayString() const;
 
-  /// SQL comparison: numeric when both sides coerce to numbers, string
-  /// comparison otherwise. Returns 0/-1/+1; NULL handled by callers.
+  /// SQL comparison, a total order: values that coerce to a number (NaN
+  /// aside) sort before those that do not; numbers compare by value, the
+  /// rest by display string. Returns 0/-1/+1; NULL handled by callers.
   int Compare(const SqlValue& other) const;
 
   bool Equals(const SqlValue& other) const;

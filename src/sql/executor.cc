@@ -1152,8 +1152,8 @@ void QueryExecution::Accumulate(Group* group, std::vector<Vec>& args,
       if (v.ToNumber(&n)) state.sum += n;
     }
     if (spec.kind != AggSpec::kMin && spec.kind != AggSpec::kMax) continue;
-    // Compare is not transitive over mixed numeric and text values, so
-    // MIN / MAX compare in row order, as row-at-a-time evaluation did.
+    // Compare is a total order, so MIN / MAX do not depend on row order;
+    // among values that compare equal (`1` and `1.0`) the first row's wins.
     const SqlValue& v = At(arg, r);
     if (!state.has_minmax) {
       state.min = v;

@@ -136,12 +136,13 @@ void IncrementalSynthesizer::Publish(const core::Program& program,
                                      const std::string& certificate,
                                      RefreshResult* out) {
   const std::string previous = program_text_;
-  std::string comment = std::string("streaming refresh (") +
-                        RefreshActionName(out->action) + ")";
-  if (!certificate.empty()) {
-    comment = std::string(analysis::kMinimizedMarker + 2) + "\n" + comment;
-  }
-  program_text_ = core::SerializeProgram(program, data_.schema(), comment);
+  const std::string comment = std::string("streaming refresh (") +
+                              RefreshActionName(out->action) + ")";
+  program_text_ =
+      certificate.empty()
+          ? core::SerializeProgram(program, data_.schema(), comment)
+          : analysis::SerializeMinimizedProgram(program, data_.schema(),
+                                                comment);
   certificate_text_ = certificate;
   out->program_text = program_text_;
   out->certificate_text = certificate_text_;

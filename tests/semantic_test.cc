@@ -347,8 +347,7 @@ TEST(RegistryGateTest, MinimizedMarkerWithoutCertificateIsRefused) {
   Schema schema = SmallSchema();
   core::Program program;
   program.statements.push_back(FullMap(0, 1, {0, 1, 2}));
-  std::string text = core::SerializeProgram(
-      program, schema, std::string(kMinimizedMarker + 2));
+  std::string text = SerializeMinimizedProgram(program, schema);
   ASSERT_TRUE(HasMinimizedMarker(text));
 
   serve::ProgramRegistry registry;
@@ -368,8 +367,7 @@ TEST(RegistryGateTest, CertifiedMinimizedProgramPublishes) {
   auto minimized = MinimizeProgram(program, schema);
   ASSERT_TRUE(minimized.ok()) << minimized.status().ToString();
 
-  std::string text = core::SerializeProgram(
-      minimized->program, schema, std::string(kMinimizedMarker + 2));
+  std::string text = SerializeMinimizedProgram(minimized->program, schema);
   serve::ProgramRegistry registry;
   auto version = registry.LoadFromText("ds", text, schema, "",
                                        minimized->certificate);
@@ -392,8 +390,7 @@ TEST(RegistryGateTest, TamperedCertificateIsRefused) {
   // classic swap attack the hash binding exists for.
   core::Program other;
   other.statements.push_back(FullMap(0, 1, {1, 0, 2}));
-  std::string text = core::SerializeProgram(
-      other, schema, std::string(kMinimizedMarker + 2));
+  std::string text = SerializeMinimizedProgram(other, schema);
   serve::ProgramRegistry registry;
   auto version = registry.LoadFromText("ds", text, schema, "",
                                        minimized->certificate);

@@ -1276,12 +1276,14 @@ TEST(AdmissionTest, OverloadedEngineAnswersResourceExhausted) {
   LoadDemo(&registry);
   EngineOptions options;
   options.max_inflight = 1;
+  options.retry_after_hint_ms = 37;
   ValidationEngine engine(&registry, options);
 
   // Saturate the single slot by hand, then observe the shed response.
   ASSERT_TRUE(engine.admission().TryAcquire());
   ValidateResponse shed = engine.Handle(DemoRequest("zip,city\n94704,Berkeley\n"));
   EXPECT_EQ(shed.code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(shed.retry_after_ms, options.retry_after_hint_ms);
   EXPECT_TRUE(shed.rows.empty());
   engine.admission().Release();
 
@@ -1389,7 +1391,13 @@ class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     LoadDemo(&registry_);
-    EngineOptions options;
+    StartServer(EngineOptions{});
+  }
+
+  // Replaces the server with one on a fresh port whose engine runs under
+  // `options`.
+  void StartServer(const EngineOptions& options) {
+    server_.reset();
     engine_ = std::make_unique<ValidationEngine>(&registry_, options);
     ServerOptions server_options;
     server_options.port = 0;
@@ -1451,6 +1459,33 @@ TEST_F(ServerTest, GarbagePayloadGetsErrorResponseNotACrash) {
   auto ok_response = client->Validate(probe);
   ASSERT_TRUE(ok_response.ok());
   EXPECT_EQ(ok_response->code, StatusCode::kOk);
+}
+
+// Backpressure over the wire: while the engine's single admission slot is
+// held, a localhost client is shed with kResourceExhausted carrying the
+// retry hint; once the slot frees, the same connection is served.
+TEST_F(ServerTest, OverloadIsShedWithRetryHintThenServed) {
+  EngineOptions options;
+  options.max_inflight = 1;
+  options.retry_after_hint_ms = 37;
+  StartServer(options);
+  auto client = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  ASSERT_TRUE(engine_->admission().TryAcquire());
+  auto shed = client->Validate(DemoRequest("zip,city\n94704,Berkeley\n"));
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(shed->retry_after_ms, options.retry_after_hint_ms);
+  EXPECT_TRUE(shed->rows.empty());
+  engine_->admission().Release();
+
+  auto served = client->Validate(DemoRequest("zip,city\n94704,Berkeley\n"));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->code, StatusCode::kOk) << served->error;
+  EXPECT_EQ(served->retry_after_ms, 0u);
+  ASSERT_EQ(served->rows.size(), 1u);
+  EXPECT_EQ(served->rows[0].verdict, RowVerdict::kOk);
 }
 
 TEST_F(ServerTest, DrainFinishesInFlightThenStops) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 
@@ -408,6 +410,10 @@ TEST(SqlValueTest, CompareNumericStrings) {
   EXPECT_EQ(SqlValue::String("abc").Compare(SqlValue::String("abd")), -1);
   EXPECT_TRUE(SqlValue::Number(2).Equals(SqlValue::String("2")));
   EXPECT_FALSE(SqlValue::MakeNull().Equals(SqlValue::MakeNull()));
+  // Numbers sort before text, so 9 < 10 < '5a' holds transitively.
+  EXPECT_EQ(SqlValue::Number(9).Compare(SqlValue::String("5a")), -1);
+  EXPECT_EQ(SqlValue::String("5a").Compare(SqlValue::String("10")), 1);
+  EXPECT_FALSE(SqlValue::Number(std::nan("")).Equals(SqlValue::Number(5)));
 }
 
 TEST(SqlValueTest, Truthiness) {
@@ -1184,6 +1190,41 @@ TEST(ExecutorOracleTest, WideGroupKeysMatchOracle) {
     }
   }
   telemetry::ResetAllForTest();
+}
+
+// Compare is a total order over mixed numeric and text values, so ORDER BY
+// (a std::stable_sort comparator) and MIN / MAX give one answer whatever
+// order the rows arrive in. Numbers sort before text: 9 < 10 < '5a'.
+TEST(ExecutorOracleTest, MixedColumnOrderIsRowOrderIndependent) {
+  const std::vector<std::string> labels = {"10", "9", "5a", "null"};
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"SELECT v FROM t ORDER BY 1", "9|10|5a|NULL|"},
+      {"SELECT v FROM t ORDER BY 1 DESC", "5a|10|9|NULL|"},
+      {"SELECT MIN(v), MAX(v) FROM t", "9,5a|"}};
+  std::vector<size_t> order = {0, 1, 2, 3};
+  do {
+    Table table(Schema({Attribute("v")}));
+    for (size_t i : order) {
+      table.AppendRowLabels({labels[i]});
+      if (labels[i] == "null") table.Set(table.num_rows() - 1, 0, kNullValue);
+    }
+    for (const auto& [sql, expected] : queries) {
+      Executor executor;
+      executor.RegisterTable("t", &table);
+      auto result = executor.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::string rows;
+      for (const auto& row : result->rows) {
+        for (size_t c = 0; c < row.size(); ++c) {
+          rows += (c > 0 ? "," : "") + row[c].ToDisplayString();
+        }
+        rows += "|";
+      }
+      EXPECT_EQ(rows, expected) << sql;
+      ExpectMatchesOracle(sql, table, {}, nullptr, core::ErrorPolicy::kIgnore,
+                          /*pushdown=*/true);
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 // "sql.scan_row" trips once per row the scan reaches, in row order: a LIMIT

@@ -101,6 +101,7 @@
 #include "analysis/semantic.h"
 #include "common/csv.h"
 #include "common/deadline.h"
+#include "common/retry.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/telemetry/telemetry.h"
@@ -253,12 +254,13 @@ int CmdAnalyze(const std::string& program_path, const std::string& data_path,
     if (!minimized_out_path.empty()) {
       // The marker comment makes the registry's publish gate demand the
       // certificate before this program can be served.
-      std::string comment = std::string(analysis::kMinimizedMarker + 2) +
-                            "\nminimized from " + program_path;
-      Status saved = core::SaveProgramToFile(minimized_out_path,
-                                             minimized->program, schema,
-                                             comment);
-      if (!saved.ok()) return Fail(saved);
+      std::ofstream program_out(minimized_out_path, std::ios::binary);
+      if (!program_out ||
+          !(program_out << analysis::SerializeMinimizedProgram(
+                minimized->program, schema,
+                "minimized from " + program_path))) {
+        return Fail(Status::IoError("cannot write " + minimized_out_path));
+      }
       std::printf("minimized program written to %s\n",
                   minimized_out_path.c_str());
     }
@@ -399,22 +401,25 @@ const char* IngestActionName(serve::IngestAction action) {
 }
 
 // Sends one batch to a daemon running --ingest. A feeder must outlive flaky
-// transport: reconnect and resend on any transport error (a batch that died
-// before its response may or may not have been ingested — resending is the
-// at-least-once contract the stream-side statistics are robust to at these
-// batch sizes).
+// transport: on a retryable failure it reconnects and resends with backoff
+// (a batch that died before its response may or may not have been ingested
+// — resending is the at-least-once contract the stream-side statistics are
+// robust to at these batch sizes).
 Result<serve::IngestResponse> SendIngest(const std::string& host, int port,
                                          const serve::IngestRequest& request) {
-  Result<serve::IngestResponse> response = Status::OK();
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    auto client = serve::Client::Connect(host, port);
-    if (!client.ok()) {
-      response = client.status();
-      continue;
-    }
-    response = client->Ingest(request);
-    if (response.ok()) break;
-  }
+  RetryPolicy policy;
+  policy.max_attempts = 8;
+  serve::IngestResponse response;
+  Status sent = RetryWithBackoff(
+      policy, Deadline::Infinite(), [&](int) -> Status {
+        auto client = serve::Client::Connect(host, port);
+        if (!client.ok()) return client.status();
+        auto reply = client->Ingest(request);
+        if (!reply.ok()) return reply.status();
+        response = std::move(*reply);
+        return Status::OK();
+      });
+  if (!sent.ok()) return sent;
   return response;
 }
 
