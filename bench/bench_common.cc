@@ -50,6 +50,12 @@ std::string Fmt(double value, int digits) {
   return FormatDouble(value, digits);
 }
 
+std::string FmtFixed(double value, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+  return buf;
+}
+
 std::string FmtInt(int64_t value) { return std::to_string(value); }
 
 exp::ExperimentConfig DefaultBenchConfig() {

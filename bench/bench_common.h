@@ -29,8 +29,12 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats helpers used across benches.
+/// Formats helpers used across benches. Fmt keeps `digits` significant
+/// digits (%g, so large values turn to exponent form); FmtFixed prints
+/// `decimals` places in fixed notation, for ratios that can reach the
+/// hundreds.
 std::string Fmt(double value, int digits = 3);
+std::string FmtFixed(double value, int decimals);
 std::string FmtInt(int64_t value);
 
 /// The shared experiment configuration for bench runs. Row counts follow

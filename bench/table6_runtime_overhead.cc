@@ -240,19 +240,19 @@ int Run() {
     table.AddRow({bench::FmtInt(id), bench::Fmt(guard_seconds, 4),
                   bench::Fmt(inference_seconds, 4),
                   inference_seconds > 0
-                      ? bench::Fmt(guard_seconds / inference_seconds, 3)
+                      ? bench::FmtFixed(guard_seconds / inference_seconds, 3)
                       : "-",
                   bench::FmtInt(stats.rows_after_pushdown),
                   bench::FmtInt(
                       static_cast<int64_t>(kernel.interp_rows_per_sec)),
                   bench::FmtInt(
                       static_cast<int64_t>(kernel.compiled_rows_per_sec)),
-                  bench::Fmt(kernel.speedup, 2),
+                  bench::FmtFixed(kernel.speedup, 1),
                   bench::FmtInt(minimization.ensemble_statements) + "->" +
                       bench::FmtInt(minimization.minimized_statements),
                   bench::FmtInt(static_cast<int64_t>(
                       minimization.minimized_rows_per_sec)),
-                  bench::Fmt(minimization.speedup, 2)});
+                  bench::FmtFixed(minimization.speedup, 1)});
   }
   std::printf("Table 6: runtime overheads and breakdown\n\n");
   table.Print();

@@ -1,5 +1,7 @@
 #include "analysis/checker.h"
 
+#include <vector>
+
 #include "analysis/passes/passes.h"
 #include "common/telemetry/telemetry.h"
 
@@ -26,6 +28,16 @@ DiagnosticReport Analyzer::Run(const core::Program& program,
   ctx.schema = &schema;
   ctx.data = data;
   ctx.options = &options_;
+
+  // One grouped scan per statement serves every data pass.
+  std::vector<GroupedStatementStats> grouped;
+  if (data != nullptr &&
+      (options_.check_satisfiability || options_.check_nontriviality ||
+       options_.check_coverage)) {
+    telemetry::Span scan_span("analysis.grouped_scan");
+    grouped = ComputeGroupedStats(program, *data);
+    ctx.grouped = &grouped;
+  }
 
   if (options_.check_types) {
     telemetry::Span pass_span("analysis.type_domain");

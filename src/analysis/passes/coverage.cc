@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/passes/passes.h"
@@ -44,41 +46,60 @@ void RunCoveragePass(const PassContext& ctx, DiagnosticReport* report) {
       if (a < 0 || a >= data.num_columns()) indexable = false;
     }
     if (!indexable) continue;
-    std::vector<const core::Branch*> usable_branches;
-    for (const core::Branch& branch : stmt.branches) {
-      if (BranchIndexableOnData(branch, data)) {
-        usable_branches.push_back(&branch);
-      }
-    }
 
-    // Group rows by their determinant-value tuple; a combination is covered
-    // when at least one of its rows fires a branch (first match or not —
-    // coverage asks "does any branch speak for this region at all").
-    std::map<std::vector<ValueId>, ComboStats> combos;
-    std::vector<ValueId> key(stmt.determinants.size());
-    for (RowIndex r = 0; r < data.num_rows(); ++r) {
-      for (size_t d = 0; d < stmt.determinants.size(); ++d) {
-        key[d] = data.Get(r, stmt.determinants[d]);
+    // Uncovered determinant combinations witnessed by enough rows, in key
+    // order. A combination is covered when at least one of its rows fires a
+    // branch (first match or not — coverage asks "does any branch speak for
+    // this region at all").
+    std::vector<std::pair<std::vector<ValueId>, int64_t>> holes;
+    const size_t width = stmt.determinants.size();
+    if (const GroupedStatementStats* grouped = GroupedStats(ctx, si)) {
+      for (size_t id = 0; id < grouped->support.size(); ++id) {
+        if (grouped->covered[id] ||
+            grouped->support[id] < options.coverage_hole_min_support) {
+          continue;
+        }
+        const ValueId* key = grouped->keys.data() + id * width;
+        holes.emplace_back(std::vector<ValueId>(key, key + width),
+                           grouped->support[id]);
       }
-      ComboStats& combo = combos[key];
-      ++combo.support;
-      if (!combo.covered) {
-        Row row = data.GetRow(r);
-        for (const core::Branch* branch : usable_branches) {
-          if (branch->condition.Matches(row)) {
-            combo.covered = true;
-            break;
+      std::sort(holes.begin(), holes.end());
+    } else {
+      std::vector<const core::Branch*> usable_branches;
+      for (const core::Branch& branch : stmt.branches) {
+        if (BranchIndexableOnData(branch, data)) {
+          usable_branches.push_back(&branch);
+        }
+      }
+      std::map<std::vector<ValueId>, ComboStats> combos;
+      std::vector<ValueId> key(width);
+      for (RowIndex r = 0; r < data.num_rows(); ++r) {
+        for (size_t d = 0; d < width; ++d) {
+          key[d] = data.Get(r, stmt.determinants[d]);
+        }
+        ComboStats& combo = combos[key];
+        ++combo.support;
+        if (!combo.covered) {
+          Row row = data.GetRow(r);
+          for (const core::Branch* branch : usable_branches) {
+            if (branch->condition.Matches(row)) {
+              combo.covered = true;
+              break;
+            }
           }
+        }
+      }
+      for (const auto& [combo_key, combo] : combos) {
+        if (!combo.covered &&
+            combo.support >= options.coverage_hole_min_support) {
+          holes.emplace_back(combo_key, combo.support);
         }
       }
     }
 
     int64_t holes_reported = 0;
     int64_t holes_elided = 0;
-    for (const auto& [combo_key, combo] : combos) {
-      if (combo.covered || combo.support < options.coverage_hole_min_support) {
-        continue;
-      }
+    for (const auto& [combo_key, support] : holes) {
       if (holes_reported >= options.max_holes_per_statement) {
         ++holes_elided;
         continue;
@@ -95,7 +116,7 @@ void RunCoveragePass(const PassContext& ctx, DiagnosticReport* report) {
       }
       report->Add({"GRL501", hole_severity, stmt_index, -1,
                    schema.attribute(stmt.dependent).name(),
-                   "coverage hole: " + std::to_string(combo.support) +
+                   "coverage hole: " + std::to_string(support) +
                        " row(s) with " + region +
                        " fire no branch; " + scheme_note});
     }

@@ -62,6 +62,7 @@ void RunNonTrivialityPass(const PassContext& ctx, DiagnosticReport* report) {
             ? schema.attribute(stmt.dependent).name()
             : std::string();
 
+    const GroupedStatementStats* grouped = GroupedStats(ctx, si);
     for (size_t bi = 0; bi < stmt.branches.size(); ++bi) {
       const core::Branch& branch = stmt.branches[bi];
       const int32_t branch_index = static_cast<int32_t>(bi);
@@ -76,7 +77,9 @@ void RunNonTrivialityPass(const PassContext& ctx, DiagnosticReport* report) {
       }
 
       if (!BranchIndexableOnData(branch, data)) continue;
-      core::BranchStats stats = core::ComputeBranchStats(branch, data);
+      const core::BranchStats stats =
+          grouped != nullptr ? grouped->branches[bi]
+                             : core::ComputeBranchStats(branch, data);
       if (static_cast<double>(stats.loss) >
           static_cast<double>(stats.support) * options.epsilon) {
         report->Add(

@@ -7,22 +7,81 @@
 /// under passes/), give its diagnostics a fresh GRLxxx range, register it in
 /// checker.cc, and document it in docs/ANALYSIS.md.
 
+#include <cstdint>
+#include <vector>
+
 #include "analysis/checker.h"
 #include "analysis/diagnostics.h"
 #include "core/ast.h"
+#include "core/metrics.h"
 #include "table/schema.h"
 #include "table/table.h"
 
 namespace guardrail {
 namespace analysis {
 
+/// One statement's data statistics from a single hashed scan of the rows,
+/// keyed on its determinant codes in header order. Built only when every
+/// branch binds exactly the determinant set (duplicate-free, all columns of
+/// the data) and targets a column — true of every synthesized statement —
+/// so a branch matches a row iff their keys are equal. Independent of the
+/// filler's counts: the audit exists to check the filler.
+struct GroupedStatementStats {
+  /// False: the statement did not qualify and the passes scan per branch.
+  bool grouped = false;
+  /// Per branch, the numbers core::ComputeBranchStats counts.
+  std::vector<core::BranchStats> branches;
+  /// Determinant combinations, `determinants.size()` codes each, flat: every
+  /// observed one plus every one a branch binds.
+  std::vector<ValueId> keys;
+  /// Per combination: rows carrying it, and whether some branch binds it.
+  std::vector<int64_t> support;
+  std::vector<char> covered;
+};
+
+/// One GroupedStatementStats per statement of `program`, in order.
+std::vector<GroupedStatementStats> ComputeGroupedStats(
+    const core::Program& program, const Table& data);
+
 /// Everything a pass may look at. `data` is null for schema-only analysis;
-/// data-dependent passes are not invoked without it.
+/// data-dependent passes are not invoked without it. `grouped`, when set,
+/// holds one entry per statement; the data passes read a grouped entry's
+/// numbers and scan per branch (the oracle) for any other statement.
 struct PassContext {
   const core::Program* program = nullptr;
   const Schema* schema = nullptr;
   const Table* data = nullptr;
   const AnalysisOptions* options = nullptr;
+  const std::vector<GroupedStatementStats>* grouped = nullptr;
+};
+
+/// The statement's grouped numbers, or null when it must be scanned per
+/// branch.
+inline const GroupedStatementStats* GroupedStats(const PassContext& ctx,
+                                                 size_t statement) {
+  if (ctx.grouped == nullptr) return nullptr;
+  const GroupedStatementStats& stats = (*ctx.grouped)[statement];
+  return stats.grouped ? &stats : nullptr;
+}
+
+/// Exact hash index over fixed-width code tuples: each distinct key gets
+/// the next dense id, in first-seen order.
+class CodeKeyIndex {
+ public:
+  explicit CodeKeyIndex(size_t width);
+  /// Id of the `width` codes at `key`, inserting them when new.
+  uint32_t FindOrInsert(const ValueId* key);
+  uint32_t size() const { return size_; }
+  /// Key of id i at [i * width, (i + 1) * width).
+  const std::vector<ValueId>& keys() const { return keys_; }
+
+ private:
+  void Grow();
+
+  size_t width_;
+  uint32_t size_ = 0;
+  std::vector<ValueId> keys_;
+  std::vector<uint32_t> slots_;
 };
 
 /// True when every attribute the branch references exists as a column of

@@ -38,6 +38,38 @@ bool SelfConflicting(const core::Condition& condition) {
   return false;
 }
 
+/// When every branch condition binds the same attributes (every
+/// synthesized statement binds its full determinant set), one condition is
+/// a subset of another only when they are equal. Then entry b is the first
+/// branch whose condition equals branch b's, found by hash; the result is
+/// empty for any other statement, which takes the pairwise scan.
+std::vector<size_t> FirstEqualCondition(const core::Statement& stmt) {
+  if (stmt.branches.empty()) return {};
+  const auto& shape = stmt.branches[0].condition.equalities;
+  for (size_t i = 1; i < shape.size(); ++i) {
+    if (shape[i].first <= shape[i - 1].first) return {};
+  }
+  for (const core::Branch& branch : stmt.branches) {
+    const auto& eqs = branch.condition.equalities;
+    if (eqs.size() != shape.size()) return {};
+    for (size_t i = 0; i < eqs.size(); ++i) {
+      if (eqs[i].first != shape[i].first) return {};
+    }
+  }
+  CodeKeyIndex index(shape.size());
+  std::vector<size_t> first_with_key;
+  std::vector<size_t> first;
+  std::vector<ValueId> key(shape.size());
+  for (size_t b = 0; b < stmt.branches.size(); ++b) {
+    const auto& eqs = stmt.branches[b].condition.equalities;
+    for (size_t i = 0; i < eqs.size(); ++i) key[i] = eqs[i].second;
+    const uint32_t id = index.FindOrInsert(key.data());
+    if (id == first_with_key.size()) first_with_key.push_back(b);
+    first.push_back(first_with_key[id]);
+  }
+  return first;
+}
+
 }  // namespace
 
 void RunSatisfiabilityPass(const PassContext& ctx, DiagnosticReport* report) {
@@ -51,6 +83,8 @@ void RunSatisfiabilityPass(const PassContext& ctx, DiagnosticReport* report) {
         stmt.dependent >= 0 && stmt.dependent < schema.num_attributes()
             ? schema.attribute(stmt.dependent).name()
             : std::string();
+    const GroupedStatementStats* grouped = GroupedStats(ctx, si);
+    const std::vector<size_t> first_equal = FirstEqualCondition(stmt);
 
     for (size_t bi = 0; bi < stmt.branches.size(); ++bi) {
       const core::Branch& branch = stmt.branches[bi];
@@ -65,11 +99,22 @@ void RunSatisfiabilityPass(const PassContext& ctx, DiagnosticReport* report) {
       }
 
       // First-match-wins: an earlier branch with a subset condition fires on
-      // every row this branch would, so this branch is unreachable.
-      for (size_t ei = 0; ei < bi; ++ei) {
+      // every row this branch would, so this branch is unreachable. One
+      // witness, the first, is enough.
+      size_t ei = bi;
+      if (!first_equal.empty()) {
+        ei = first_equal[bi];
+      } else {
+        for (ei = 0; ei < bi; ++ei) {
+          const core::Branch& earlier = stmt.branches[ei];
+          if (!SelfConflicting(earlier.condition) &&
+              ConditionSubset(earlier.condition, branch.condition)) {
+            break;
+          }
+        }
+      }
+      if (ei < bi) {
         const core::Branch& earlier = stmt.branches[ei];
-        if (SelfConflicting(earlier.condition)) continue;
-        if (!ConditionSubset(earlier.condition, branch.condition)) continue;
         const bool identical = earlier.condition == branch.condition;
         const bool same_effect = earlier.assignment == branch.assignment;
         report->Add(
@@ -82,12 +127,14 @@ void RunSatisfiabilityPass(const PassContext& ctx, DiagnosticReport* report) {
                  (same_effect ? " (same assignment; dead but harmless)"
                               : " with a different assignment; this branch "
                                 "never fires")});
-        break;  // One witness is enough.
       }
 
       if (ctx.data != nullptr && BranchIndexableOnData(branch, *ctx.data)) {
-        core::BranchStats stats = core::ComputeBranchStats(branch, *ctx.data);
-        if (stats.support == 0) {
+        const int64_t support =
+            grouped != nullptr
+                ? grouped->branches[bi].support
+                : core::ComputeBranchStats(branch, *ctx.data).support;
+        if (support == 0) {
           report->Add({"GRL204", Severity::kWarning, stmt_index, branch_index,
                        dep_name,
                        "no observed row satisfies this branch's condition "

@@ -19,6 +19,11 @@
 /// drop with the implication engine and replays seeded random rows through
 /// `Interpreter::Check` on both programs — the serving registry refuses to
 /// publish a minimized program without a certificate that passes it.
+///
+/// Both work on the program's distinct statements: a synthesis ensemble
+/// repeats each member DAG's statements many times, and every later copy of
+/// a statement (identical including advisory metadata) is a drop whose proof
+/// is identity with its first occurrence.
 
 #include <cstdint>
 #include <string>
@@ -49,10 +54,12 @@ struct MinimizeOptions {
 /// the flag bit — Interpreter::Satisfies — is preserved exactly).
 struct MinimizationResult {
   core::Program program;
-  /// Original statement indices dropped, in drop order (each proven implied
-  /// by the statements still active at that point).
+  /// Original statement indices dropped, in drop order: every later copy
+  /// of a statement first, then each statement proven implied by the
+  /// statements still active at that point.
   std::vector<size_t> dropped;
-  /// Per drop: the statements whose closure proved it, original indices.
+  /// Per drop: a copy's first occurrence, or the statements whose closure
+  /// proved the drop; original indices.
   std::vector<std::vector<size_t>> impliers;
   /// Survivors' original indices in emitted (dominance) order.
   std::vector<size_t> order;
@@ -76,18 +83,20 @@ Result<MinimizationResult> MinimizeProgram(const core::Program& program,
                                            const MinimizeOptions& options = {});
 
 /// Replays a certificate against the minimized program it claims to certify:
-/// checks both canonical-text hashes, re-parses the embedded original,
-/// checks drops+survivors partition it, re-derives every drop claim with the
-/// implication engine, and replays the seeded row sample through the
-/// interpreter verifying per-row verdict equality plus the checksum. OK iff
-/// everything holds.
+/// re-parses the embedded distinct statements, checks the `duplicate_of`
+/// links that rebuild the original and both hashes, checks drops+survivors
+/// partition the original, re-derives every drop claim (a copy by its
+/// standing first occurrence, any other by the implication engine), and
+/// replays the seeded row sample through the interpreter verifying per-row
+/// verdict equality plus the checksum. OK iff everything holds. Certificates
+/// in the superseded v1 format are refused with InvalidArgument.
 Status VerifyCertificate(const std::string& certificate_json,
                          const core::Program& minimized,
                          const Schema& schema);
 
-/// FNV-1a over the canonical DSL rendering (printer.h ToDsl) — the program
-/// identity the certificate pins. Comments and advisory metadata do not
-/// participate.
+/// FNV-1a over the canonical DSL rendering (printer.h ToDsl) — the identity
+/// the certificate pins for the minimized program. Comments and advisory
+/// metadata do not participate.
 uint64_t CanonicalProgramHash(const core::Program& program,
                               const Schema& schema);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -145,25 +144,19 @@ void GSquareTest::PackBitPlanes() {
   bit_sliced_ = true;
 }
 
-CiResult GSquareTest::BitSlicedTest(int32_t x, int32_t y,
-                                    const std::vector<int32_t>& z) const {
-  constexpr size_t kMaxStrata = size_t{1} << kMaxBitSlicedConditions;
-  const size_t num_z = z.size();
-  const size_t num_strata = size_t{1} << num_z;
-  auto plane = [&](int32_t c) {
-    return planes_.data() + static_cast<size_t>(c) * static_cast<size_t>(words_);
-  };
-  const uint64_t* px = plane(x);
-  const uint64_t* py = plane(y);
-  std::array<const uint64_t*, kMaxBitSlicedConditions> pz{};
-  for (size_t i = 0; i < num_z; ++i) pz[i] = plane(z[i]);
-  const int64_t tail_bits = data_->num_rows % 64;
+namespace {
 
-  // Per stratum: rows, rows with x = 1, with y = 1, with both.
-  std::array<int64_t, kMaxStrata> n_all{}, n_x{}, n_y{}, n_xy{};
-  std::array<uint64_t, kMaxStrata> masks{};
-  for (int64_t w = 0; w < words_; ++w) {
-    masks[0] = (w + 1 < words_ || tail_bits == 0)
+/// The word loop behind both CountBitSlices builds, inlined into each so the
+/// POPCNT build's popcounts become single instructions (a default x86-64
+/// build turns each into a library call).
+[[gnu::always_inline]] inline void CountBitSlicesBody(
+    const uint64_t* px, const uint64_t* py, const uint64_t* const* pz,
+    size_t num_z, int64_t words, int64_t tail_bits, BitSliceCounts* counts) {
+  const size_t num_strata = size_t{1} << num_z;
+  BitSliceCounts c;  // Local, so the adds cannot alias the planes.
+  std::array<uint64_t, BitSliceCounts::kMaxStrata> masks{};
+  for (int64_t w = 0; w < words; ++w) {
+    masks[0] = (w + 1 < words || tail_bits == 0)
                    ? ~uint64_t{0}
                    : (uint64_t{1} << tail_bits) - 1;
     // Split every stratum on z[i]: stratum j becomes 2j (z[i] = 0) and
@@ -183,21 +176,77 @@ CiResult GSquareTest::BitSlicedTest(int32_t x, int32_t y,
     const uint64_t xyw = xw & yw;
     for (size_t s = 0; s < num_strata; ++s) {
       const uint64_t m = masks[s];
-      n_all[s] += std::popcount(m);
-      n_x[s] += std::popcount(m & xw);
-      n_y[s] += std::popcount(m & yw);
-      n_xy[s] += std::popcount(m & xyw);
+      c.n_all[s] += __builtin_popcountll(m);
+      c.n_x[s] += __builtin_popcountll(m & xw);
+      c.n_y[s] += __builtin_popcountll(m & yw);
+      c.n_xy[s] += __builtin_popcountll(m & xyw);
     }
   }
+  *counts = c;
+}
+
+}  // namespace
+
+void CountBitSlicesPortable(const uint64_t* px, const uint64_t* py,
+                            const uint64_t* const* pz, size_t num_z,
+                            int64_t words, int64_t tail_bits,
+                            BitSliceCounts* counts) {
+  CountBitSlicesBody(px, py, pz, num_z, words, tail_bits, counts);
+}
+
+// A plain target attribute, chosen through a function pointer: an ifunc
+// (target_clones) resolver runs before the sanitizer runtimes are up and
+// crashes TSan binaries at load.
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("popcnt"))) void CountBitSlicesPopcnt(
+    const uint64_t* px, const uint64_t* py, const uint64_t* const* pz,
+    size_t num_z, int64_t words, int64_t tail_bits, BitSliceCounts* counts) {
+  CountBitSlicesBody(px, py, pz, num_z, words, tail_bits, counts);
+}
+
+bool CpuHasPopcnt() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("popcnt");
+}
+#else
+void CountBitSlicesPopcnt(const uint64_t* px, const uint64_t* py,
+                          const uint64_t* const* pz, size_t num_z,
+                          int64_t words, int64_t tail_bits,
+                          BitSliceCounts* counts) {
+  CountBitSlicesBody(px, py, pz, num_z, words, tail_bits, counts);
+}
+
+bool CpuHasPopcnt() { return false; }
+#endif
+
+CiResult GSquareTest::BitSlicedTest(int32_t x, int32_t y,
+                                    const std::vector<int32_t>& z) const {
+  using CountFn = void (*)(const uint64_t*, const uint64_t*,
+                           const uint64_t* const*, size_t, int64_t, int64_t,
+                           BitSliceCounts*);
+  static const CountFn count_bit_slices =
+      CpuHasPopcnt() ? CountBitSlicesPopcnt : CountBitSlicesPortable;
+  static_assert(BitSliceCounts::kMaxStrata ==
+                size_t{1} << kMaxBitSlicedConditions);
+  const size_t num_z = z.size();
+  auto plane = [&](int32_t c) {
+    return planes_.data() + static_cast<size_t>(c) * static_cast<size_t>(words_);
+  };
+  std::array<const uint64_t*, kMaxBitSlicedConditions> pz{};
+  for (size_t i = 0; i < num_z; ++i) pz[i] = plane(z[i]);
+  BitSliceCounts c;
+  count_bit_slices(plane(x), plane(y), pz.data(), num_z, words_,
+                   data_->num_rows % 64, &c);
+
   G2Scratch& margins = GetCiScratch().margins;
   double g2 = 0.0;
   double dof = 0.0;
-  for (size_t s = 0; s < num_strata; ++s) {
+  for (size_t s = 0; s < (size_t{1} << num_z); ++s) {
     // The dense path's row-major 2 x 2 table, cell vx * 2 + vy.
     const std::array<int64_t, 4> counts = {
-        n_all[s] - n_x[s] - n_y[s] + n_xy[s], n_y[s] - n_xy[s],
-        n_x[s] - n_xy[s], n_xy[s]};
-    G2FromCounts(counts.data(), n_all[s], 2, 2, &margins, &g2, &dof);
+        c.n_all[s] - c.n_x[s] - c.n_y[s] + c.n_xy[s], c.n_y[s] - c.n_xy[s],
+        c.n_x[s] - c.n_xy[s], c.n_xy[s]};
+    G2FromCounts(counts.data(), c.n_all[s], 2, 2, &margins, &g2, &dof);
   }
   return Verdict(g2, dof, options_);
 }

@@ -1,7 +1,9 @@
 #ifndef GUARDRAIL_PGM_CI_TEST_H_
 #define GUARDRAIL_PGM_CI_TEST_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +42,31 @@ struct G2Scratch {
 /// detector runs it on cell-major K x 2 {baseline, window} tables.
 void G2FromCounts(const int64_t* counts, int64_t total, int32_t rows,
                   int32_t cols, G2Scratch* scratch, double* g2, double* dof);
+
+/// Per-stratum counts of one bit-sliced test: rows, rows with x = 1, with
+/// y = 1, and with both. Stratum s is the radix key of the conditioning
+/// values (z[0] most significant).
+struct BitSliceCounts {
+  static constexpr size_t kMaxStrata = 16;
+  std::array<int64_t, kMaxStrata> n_all{}, n_x{}, n_y{}, n_xy{};
+};
+
+/// The bit-sliced test's word loop over `words` 64-row words of the x, y and
+/// `num_z` (at most 4) conditioning planes, with `tail_bits` valid bits in
+/// the last word (0 meaning all 64); overwrites `counts`. Two builds of the
+/// same source: a portable one, and one compiled for POPCNT that may run
+/// only where CpuHasPopcnt(). GSquareTest picks one once, on first use;
+/// both are exposed so a test can run them on the same planes.
+void CountBitSlicesPortable(const uint64_t* px, const uint64_t* py,
+                            const uint64_t* const* pz, size_t num_z,
+                            int64_t words, int64_t tail_bits,
+                            BitSliceCounts* counts);
+void CountBitSlicesPopcnt(const uint64_t* px, const uint64_t* py,
+                          const uint64_t* const* pz, size_t num_z,
+                          int64_t words, int64_t tail_bits,
+                          BitSliceCounts* counts);
+/// True when this CPU executes POPCNT (always false off x86).
+bool CpuHasPopcnt();
 
 /// G-squared (likelihood-ratio) conditional-independence test on categorical
 /// data, the standard test driving the PC algorithm.

@@ -69,7 +69,7 @@ Result<uint64_t> ProgramRegistry::LoadFromText(
   // Certified-minimization gate: a program that claims to be minimized must
   // prove it. The certificate re-derives every dropped statement with the
   // implication engine and replays seeded rows through the interpreter
-  // against the embedded original — no proof, no publish.
+  // against the original it rebuilds — no proof, no publish.
   if (analysis::HasMinimizedMarker(program_text)) {
     if (certificate_text.empty()) {
       GUARDRAIL_COUNTER_INC("serve.registry.rejected_uncertified");

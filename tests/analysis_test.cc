@@ -6,17 +6,21 @@
 //      categories must be caught at >= 95%;
 //   3. byte-stable JSON output (downstream tooling greps it);
 //   4. normalize -> print -> parse is a fixpoint for every corpus program.
+// The grouped audit scan is checked against the per-branch scans it
+// replaces, on every dataset and on the mutation corpus.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/checker.h"
+#include "analysis/passes/passes.h"
 #include "core/guard.h"
 #include "core/normalize.h"
 #include "core/parser.h"
@@ -24,6 +28,8 @@
 #include "core/synthesizer.h"
 #include "sql/executor.h"
 #include "sql/planner.h"
+#include "table/dataset_repository.h"
+#include "table/error_injector.h"
 #include "table/sem_generator.h"
 
 namespace guardrail {
@@ -497,6 +503,204 @@ TEST(AnalysisMutationTest, SchemaOnlyAnalysisCatchesStructuralMutants) {
   Analyzer analyzer(MatchingOptions());
   DiagnosticReport report = analyzer.Analyze(p, s.schema);
   EXPECT_TRUE(report.HasErrors()) << report.ToText();
+}
+
+// ------------------------------------------- grouped audit vs. oracle --
+//
+// The data passes (GRL204, GRL404/405, GRL501/502) read each statement's
+// numbers from one grouped scan. The per-branch core::ComputeBranchStats
+// scans they fall back to for other statements are the oracle: both must
+// give the same diagnostics, code, message and order.
+
+// Passes 2, 4 and 5 over `data`, with the grouped scan or per branch.
+DiagnosticReport DataPassReport(const core::Program& program,
+                                const Table& data,
+                                const AnalysisOptions& options,
+                                bool grouped_scan,
+                                size_t* grouped_statements = nullptr) {
+  PassContext ctx;
+  ctx.program = &program;
+  ctx.schema = &data.schema();
+  ctx.data = &data;
+  ctx.options = &options;
+  std::vector<GroupedStatementStats> grouped;
+  if (grouped_scan) {
+    grouped = ComputeGroupedStats(program, data);
+    ctx.grouped = &grouped;
+  }
+  if (grouped_statements != nullptr) {
+    *grouped_statements = static_cast<size_t>(
+        std::count_if(grouped.begin(), grouped.end(),
+                      [](const GroupedStatementStats& g) { return g.grouped; }));
+  }
+  DiagnosticReport report;
+  RunSatisfiabilityPass(ctx, &report);
+  RunNonTrivialityPass(ctx, &report);
+  RunCoveragePass(ctx, &report);
+  report.Sort();
+  return report;
+}
+
+// Compares both scans and adds the codes they reported to `codes`.
+void ExpectGroupedMatchesOracle(const core::Program& program,
+                                const Table& data,
+                                const AnalysisOptions& options,
+                                const std::string& what,
+                                std::set<std::string>* codes) {
+  const DiagnosticReport grouped =
+      DataPassReport(program, data, options, /*grouped_scan=*/true);
+  const DiagnosticReport oracle =
+      DataPassReport(program, data, options, /*grouped_scan=*/false);
+  EXPECT_EQ(grouped.diagnostics, oracle.diagnostics)
+      << what << "\ngrouped:\n"
+      << grouped.ToText() << "per branch:\n"
+      << oracle.ToText();
+  for (const Diagnostic& d : grouped.diagnostics) codes->insert(d.code);
+}
+
+// The first earlier branch whose condition is a subset of branch bi's, by
+// the pairwise definition; bi when none.
+size_t PairwiseShadowWitness(const core::Statement& stmt, size_t bi) {
+  const auto& later = stmt.branches[bi].condition.equalities;
+  for (size_t ei = 0; ei < bi; ++ei) {
+    bool subset = true;
+    for (const auto& eq : stmt.branches[ei].condition.equalities) {
+      subset = subset && std::count(later.begin(), later.end(), eq) > 0;
+    }
+    if (subset) return ei;
+  }
+  return bi;
+}
+
+// GRL202/203 sit exactly on the branches with a pairwise witness, naming
+// it; for uniform conditions the pass finds the witness by hash.
+void ExpectShadowingMatchesPairwise(const core::Program& program,
+                                    const Schema& schema,
+                                    const std::string& what) {
+  PassContext ctx;
+  ctx.program = &program;
+  ctx.schema = &schema;
+  AnalysisOptions options;
+  ctx.options = &options;
+  DiagnosticReport report;
+  RunSatisfiabilityPass(ctx, &report);
+  std::map<std::pair<int32_t, int32_t>, std::string> shadowed;
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.code == "GRL202" || d.code == "GRL203") {
+      shadowed[{d.statement_index, d.branch_index}] = d.message;
+    }
+  }
+  size_t expected = 0;
+  for (size_t si = 0; si < program.statements.size(); ++si) {
+    const core::Statement& stmt = program.statements[si];
+    for (size_t bi = 0; bi < stmt.branches.size(); ++bi) {
+      const auto& eqs = stmt.branches[bi].condition.equalities;
+      bool self_conflict = false;
+      for (size_t i = 1; i < eqs.size(); ++i) {
+        self_conflict = self_conflict || eqs[i].first == eqs[i - 1].first;
+      }
+      const size_t ei = PairwiseShadowWitness(stmt, bi);
+      if (self_conflict || ei == bi) continue;
+      ++expected;
+      auto it = shadowed.find(
+          {static_cast<int32_t>(si), static_cast<int32_t>(bi)});
+      ASSERT_NE(it, shadowed.end())
+          << what << ": stmt " << si << " branch " << bi << " unreported";
+      const std::string witness = ": branch " + std::to_string(ei);
+      EXPECT_TRUE(it->second.find(witness + " has") != std::string::npos ||
+                  it->second.find(witness + "'s") != std::string::npos)
+          << what << ": " << it->second;
+    }
+  }
+  EXPECT_EQ(shadowed.size(), expected) << what << "\n" << report.ToText();
+}
+
+TEST(GroupedAuditTest, MatchesPerBranchScansOnAllDatasets) {
+  AnalysisOptions options;
+  options.epsilon = 0.02;
+  options.coverage_hole_min_support = 1;
+  options.check_lnt_gnt = false;  // The G² audit reads no grouped numbers.
+  std::set<std::string> codes;
+  for (int id = 1; id <= 12; ++id) {
+    SCOPED_TRACE(::testing::Message() << "dataset " << id);
+    const Table clean = DatasetRepository::Build(id, 1500).clean;
+    core::Synthesizer synth(core::SynthesisOptions{});
+    Rng rng(static_cast<uint64_t>(id));
+    const core::SynthesisReport report = synth.Synthesize(clean, &rng);
+    ASSERT_FALSE(report.program.empty());
+    ErrorInjectionOptions errors;
+    errors.mode = CorruptionMode::kDomainSwap;
+    errors.error_rate = 0.05;
+    Rng error_rng(static_cast<uint64_t>(100 + id));
+    const Table dirty = InjectErrors(clean, errors, &error_rng).dirty;
+
+    for (const core::Program* program :
+         {&report.program, &report.minimization.program}) {
+      // Every synthesized statement takes the grouped scan.
+      size_t grouped = 0;
+      DataPassReport(*program, dirty, options, true, &grouped);
+      EXPECT_EQ(grouped, program->statements.size());
+      ExpectGroupedMatchesOracle(*program, clean, options, "clean", &codes);
+      ExpectGroupedMatchesOracle(*program, dirty, options, "dirty", &codes);
+      ExpectShadowingMatchesPairwise(*program, clean.schema(), "synthesized");
+    }
+  }
+  // The comparison is not vacuous: the dirty data trips the audits.
+  for (const char* code : {"GRL404", "GRL405", "GRL501", "GRL502"}) {
+    EXPECT_EQ(codes.count(code), 1u) << code;
+  }
+}
+
+TEST(GroupedAuditTest, MatchesPerBranchScansOnMutationCorpus) {
+  const CleanSetup& s = ChainSetup();
+  std::vector<Mutant> mutants = SeedMutants(s.program, s.schema);
+  std::vector<Mutant> implication = SeedImplicationMutants(s.program, s.schema);
+  mutants.insert(mutants.end(), implication.begin(), implication.end());
+  ASSERT_GE(mutants.size(), 40u);
+  std::set<std::string> codes;
+  for (const Mutant& mutant : mutants) {
+    ExpectGroupedMatchesOracle(mutant.program, s.data, MatchingOptions(),
+                               mutant.name, &codes);
+    ExpectShadowingMatchesPairwise(mutant.program, s.schema, mutant.name);
+  }
+  for (const char* code : {"GRL202", "GRL203", "GRL204", "GRL404", "GRL501"}) {
+    EXPECT_EQ(codes.count(code), 1u) << code;
+  }
+}
+
+TEST(GroupedAuditTest, PartialArityStatementKeepsPerBranchScans) {
+  const CleanSetup& s = ChainSetup();
+  const AttrIndex zip = s.schema.FindAttribute("zip");
+  const AttrIndex city = s.schema.FindAttribute("city");
+  const AttrIndex note = s.schema.FindAttribute("note");
+  // GIVEN zip, note ON city with one full-arity branch, a partial one that
+  // binds zip alone, and a later branch the partial one shadows.
+  core::Statement partial;
+  partial.determinants = {zip, note};
+  partial.dependent = city;
+  partial.branches.push_back(
+      {core::Condition{{{zip, 0}, {note, 0}}}, city, 1, 10, {}});
+  partial.branches.push_back({core::Condition{{{zip, 1}}}, city, 2, 10, {}});
+  partial.branches.push_back(
+      {core::Condition{{{zip, 1}, {note, 2}}}, city, 0, 10, {}});
+  core::Program program = s.program;
+  program.statements.insert(program.statements.begin(), partial);
+
+  size_t grouped = 0;
+  const DiagnosticReport report =
+      DataPassReport(program, s.data, MatchingOptions(), true, &grouped);
+  EXPECT_EQ(grouped, program.statements.size() - 1);
+  std::set<std::string> codes;
+  ExpectGroupedMatchesOracle(program, s.data, MatchingOptions(), "partial",
+                             &codes);
+  ExpectShadowingMatchesPairwise(program, s.schema, "partial");
+  bool shadow_reported = false;
+  for (const Diagnostic& d : report.diagnostics) {
+    shadow_reported = shadow_reported ||
+                      (d.code == "GRL202" && d.statement_index == 0 &&
+                       d.branch_index == 2);
+  }
+  EXPECT_TRUE(shadow_reported) << report.ToText();
 }
 
 // ------------------------------------------------------------ golden JSON --

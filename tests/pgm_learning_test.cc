@@ -179,6 +179,39 @@ TEST(GSquareTest, BitSlicedMatchesScalarDense) {
   }
 }
 
+TEST(GSquareTest, PopcntAndPortableWordLoopsCountAlike) {
+  if (!CpuHasPopcnt()) GTEST_SKIP() << "CPU reports no POPCNT";
+  // Random planes, every conditioning-set size the bit-sliced path takes,
+  // and every tail shape: a full last word, one valid bit, 40 valid bits.
+  Rng rng(17);
+  for (int64_t rows : {64, 65, 1000}) {
+    const int64_t words = (rows + 63) / 64;
+    std::vector<std::vector<uint64_t>> planes(6);
+    for (auto& plane : planes) {
+      for (int64_t w = 0; w < words; ++w) plane.push_back(rng.NextUint64());
+    }
+    const uint64_t* pz[] = {planes[2].data(), planes[3].data(),
+                            planes[4].data(), planes[5].data()};
+    for (size_t num_z = 0; num_z <= GSquareTest::kMaxBitSlicedConditions;
+         ++num_z) {
+      BitSliceCounts portable;
+      BitSliceCounts popcnt;
+      CountBitSlicesPortable(planes[0].data(), planes[1].data(), pz, num_z,
+                             words, rows % 64, &portable);
+      CountBitSlicesPopcnt(planes[0].data(), planes[1].data(), pz, num_z,
+                           words, rows % 64, &popcnt);
+      SCOPED_TRACE(::testing::Message() << "rows=" << rows << " |z|=" << num_z);
+      EXPECT_EQ(portable.n_all, popcnt.n_all);
+      EXPECT_EQ(portable.n_x, popcnt.n_x);
+      EXPECT_EQ(portable.n_y, popcnt.n_y);
+      EXPECT_EQ(portable.n_xy, popcnt.n_xy);
+      int64_t total = 0;
+      for (int64_t n : portable.n_all) total += n;
+      EXPECT_EQ(total, rows);
+    }
+  }
+}
+
 TEST(GSquareTest, NullOrOutOfRangeCodesKeepTheScalarPath) {
   EncodedData binary = MakeBinaryData(300, 4, 77);
   GSquareTest sliced(&binary, {});

@@ -341,6 +341,134 @@ TEST(MinimizeTest, CertificateRejectsTampering) {
           .ok());
 }
 
+// Two independent statements, each synthesized twice: original indices 2
+// and 3 are copies of 0 and 1.
+core::Program TwiceSynthesizedProgram() {
+  core::Program program;
+  program.statements.push_back(FullMap(0, 1, {0, 1, 2}));
+  program.statements.push_back(FullMap(1, 2, {2, 0, 1}));
+  program.statements.push_back(FullMap(0, 1, {0, 1, 2}));
+  program.statements.push_back(FullMap(1, 2, {2, 0, 1}));
+  return program;
+}
+
+std::string ReplaceOnce(std::string text, const std::string& from,
+                        const std::string& to) {
+  const size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from << " not in\n" << text;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  return text;
+}
+
+TEST(MinimizeTest, CopiesAreDropsIndexedInTheOriginal) {
+  Schema schema = SmallSchema();
+  const core::Program program = TwiceSynthesizedProgram();
+  auto minimized = MinimizeProgram(program, schema);
+  ASSERT_TRUE(minimized.ok()) << minimized.status().ToString();
+  EXPECT_EQ(minimized->statements_before, 4);
+  EXPECT_EQ(minimized->statements_after, 2);
+  // Each copy's proof names its first occurrence.
+  ASSERT_EQ(minimized->dropped, (std::vector<size_t>{2, 3}));
+  EXPECT_EQ(minimized->impliers[0], (std::vector<size_t>{0}));
+  EXPECT_EQ(minimized->impliers[1], (std::vector<size_t>{1}));
+  std::vector<size_t> order = minimized->order;
+  std::sort(order.begin(), order.end());
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1}));
+  // The certificate embeds each distinct statement once.
+  const std::string& cert = minimized->certificate;
+  EXPECT_NE(cert.find("\"duplicate_of\": [-1, -1, 0, 1]"), std::string::npos)
+      << cert;
+  EXPECT_NE(cert.find("\"distinct_statements\": 2"), std::string::npos)
+      << cert;
+  EXPECT_TRUE(VerifyCertificate(cert, minimized->program, schema).ok());
+  ExpectVerdictIdentical(program, minimized->program, schema);
+}
+
+TEST(MinimizeTest, CopiesDifferingInMetadataStayDistinct) {
+  Schema schema = SmallSchema();
+  core::Program program;
+  program.statements.push_back(FullMap(0, 1, {0, 1, 2}));
+  program.statements.push_back(FullMap(0, 1, {0, 1, 2}));
+  program.statements[1].branches[0].support = 99;
+  auto minimized = MinimizeProgram(program, schema);
+  ASSERT_TRUE(minimized.ok()) << minimized.status().ToString();
+  // Not identical, so no duplicate_of link: the implication engine's
+  // duplicate path drops the lower-support one instead.
+  EXPECT_NE(minimized->certificate.find("\"duplicate_of\": [-1, -1]"),
+            std::string::npos)
+      << minimized->certificate;
+  EXPECT_EQ(minimized->dropped, (std::vector<size_t>{0}));
+  EXPECT_EQ(minimized->order, (std::vector<size_t>{1}));
+  EXPECT_EQ(minimized->program.statements[0].branches[0].support, 99);
+  EXPECT_TRUE(
+      VerifyCertificate(minimized->certificate, minimized->program, schema)
+          .ok());
+}
+
+TEST(MinimizeTest, CertificateRejectsTamperedDuplicateLinks) {
+  Schema schema = SmallSchema();
+  auto minimized = MinimizeProgram(TwiceSynthesizedProgram(), schema);
+  ASSERT_TRUE(minimized.ok()) << minimized.status().ToString();
+  const std::string& cert = minimized->certificate;
+  ASSERT_TRUE(VerifyCertificate(cert, minimized->program, schema).ok());
+  const std::string links = "\"duplicate_of\": [-1, -1, 0, 1]";
+
+  struct Tamper {
+    const char* what;
+    std::string links;
+    std::string expected_error;
+  };
+  const Tamper tampers[] = {
+      {"points at a non-identical statement",
+       "\"duplicate_of\": [-1, -1, 1, 1]", "original program hash mismatch"},
+      {"points at itself", "\"duplicate_of\": [-1, -1, 2, 1]",
+       "duplicate_of[2] = 2 points at itself"},
+      {"points at a later index", "\"duplicate_of\": [-1, -1, 3, 1]",
+       "duplicate_of[2] = 3 points at a later statement"},
+      {"points out of range", "\"duplicate_of\": [-1, -1, 9, 1]",
+       "duplicate_of[2] = 9 is out of range"},
+      {"points at a copy", "\"duplicate_of\": [-1, -1, 0, 2]",
+       "duplicate_of[3] = 2 is not a first occurrence"},
+      {"drops a first occurrence", "\"duplicate_of\": [-1, -1, 0, -1]",
+       "first occurrences do not match"},
+  };
+  for (const Tamper& tamper : tampers) {
+    SCOPED_TRACE(tamper.what);
+    const Status status = VerifyCertificate(
+        ReplaceOnce(cert, links, tamper.links), minimized->program, schema);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(tamper.expected_error), std::string::npos)
+        << status.ToString();
+  }
+
+  // A copy listed as the survivor in place of its first occurrence.
+  const std::string copy_survives = ReplaceOnce(
+      ReplaceOnce(cert, "\"dropped\": [2, 3]", "\"dropped\": [0, 3]"),
+      "\"order\": [0, 1]", "\"order\": [2, 1]");
+  const Status status =
+      VerifyCertificate(copy_survives, minimized->program, schema);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("bad survivor index"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(MinimizeTest, VersionOneCertificatesAreRefusedWithAHint) {
+  Schema schema = SmallSchema();
+  auto minimized = MinimizeProgram(TwiceSynthesizedProgram(), schema);
+  ASSERT_TRUE(minimized.ok()) << minimized.status().ToString();
+  const std::string v1 =
+      ReplaceOnce(minimized->certificate, "certificate-v2", "certificate-v1");
+  const Status status = VerifyCertificate(v1, minimized->program, schema);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("guardrail-minimization-certificate-v1"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("analyze --minimize"), std::string::npos)
+      << status.ToString();
+}
+
 // --------------------------------------------- registry publish gate --
 
 TEST(RegistryGateTest, MinimizedMarkerWithoutCertificateIsRefused) {

@@ -95,7 +95,7 @@ fi
   > "$DIR/minimize.log"
 grep -q "minimized: 2 -> 1 statement(s)" "$DIR/minimize.log"
 python3 -m json.tool "$DIR/cert.json" > /dev/null
-grep -q '"format": "guardrail-minimization-certificate-v1"' "$DIR/cert.json"
+grep -q '"format": "guardrail-minimization-certificate-v2"' "$DIR/cert.json"
 grep -q '^# guardrail-minimized$' "$DIR/min.grl"
 # The minimized program is verdict-identical on the dirty batch.
 rc=0
