@@ -55,6 +55,10 @@ std::string WriteCsv(const CsvDocument& doc);
 /// the same quoting rules as WriteCsv.
 std::string WriteCsvRecord(const std::vector<std::string>& record);
 
+/// Appends one field as WriteCsvRecord writes it: verbatim, or wrapped in
+/// double quotes with "" escapes when it holds a comma, quote, CR or LF.
+void AppendCsvField(std::string_view field, std::string* out);
+
 /// File convenience wrappers.
 Result<CsvDocument> ReadCsvFile(const std::string& path);
 Status WriteCsvFile(const std::string& path, const CsvDocument& doc);

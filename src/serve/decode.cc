@@ -1,9 +1,11 @@
 #include "serve/decode.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/csv.h"
+#include "common/csv_scan.h"
 
 namespace guardrail {
 namespace serve {
@@ -22,12 +24,25 @@ class ColumnWriter {
   /// Rows completed so far.
   int64_t rows() const { return rows_; }
 
+  /// Starts the next row's unresolved texts, each empty (a JSON null) until
+  /// its cell arrives.
+  void BeginRow() {
+    out_->texts_.resize(out_->texts_.size() + out_->text_slots_);
+  }
   void Put(AttrIndex attr, std::string_view label) {
-    out_->columns_[static_cast<size_t>(attr)].push_back(
-        out_->Resolve(attr, label));
+    const int32_t slot = out_->text_slot_[static_cast<size_t>(attr)];
+    if (slot < 0) {
+      out_->columns_[static_cast<size_t>(attr)].push_back(
+          out_->Resolve(attr, label));
+    } else {
+      out_->texts_[static_cast<size_t>(rows_) * out_->text_slots_ +
+                   static_cast<size_t>(slot)] = out_->KeepText(label);
+    }
   }
   void PutNull(AttrIndex attr) {
-    out_->columns_[static_cast<size_t>(attr)].push_back(kNullValue);
+    if (out_->resolved(attr)) {
+      out_->columns_[static_cast<size_t>(attr)].push_back(kNullValue);
+    }
   }
   void EndRow() { ++rows_; }
 
@@ -63,7 +78,7 @@ namespace {
 /// stale schema fails loudly instead of silently validating shifted
 /// columns. Empty fields are ordinary labels, exactly as Table::FromCsv
 /// treats them — serving must agree with offline byte for byte.
-class CsvColumnSink : public CsvSink {
+class CsvColumnSink final : public CsvSink {
  public:
   CsvColumnSink(const Schema& schema, ColumnWriter* writer)
       : schema_(schema), writer_(writer) {}
@@ -73,6 +88,7 @@ class CsvColumnSink : public CsvSink {
     if (!in_header_) {
       // A ragged record may run past the schema; ScanCsv rejects it.
       if (attr < schema_.num_attributes() && writer_->accepting()) {
+        if (attr == 0) writer_->BeginRow();
         writer_->Put(attr, value);
       }
       return;
@@ -179,6 +195,7 @@ class JsonRowsParser {
     SkipWs();
     GUARDRAIL_RETURN_NOT_OK(Expect('{'));
     std::fill(seen_.begin(), seen_.end(), 0);
+    if (writer_->accepting()) writer_->BeginRow();
     SkipWs();
     if (Peek() == '}') {
       ++pos_;
@@ -364,10 +381,24 @@ class JsonRowsParser {
 
 }  // namespace
 
-DecodedColumns::DecodedColumns(const Schema* base)
+DecodedColumns::DecodedColumns(const Schema* base, std::string_view payload,
+                               const std::vector<AttrIndex>* resolve)
     : base_(base),
+      payload_(payload),
+      text_slot_(static_cast<size_t>(base->num_attributes()),
+                 resolve == nullptr ? -1 : 0),
       columns_(static_cast<size_t>(base->num_attributes())),
-      overlay_(static_cast<size_t>(base->num_attributes())) {}
+      overlay_(static_cast<size_t>(base->num_attributes())) {
+  if (resolve == nullptr) return;
+  for (AttrIndex a : *resolve) {
+    if (a >= 0 && a < base->num_attributes()) {
+      text_slot_[static_cast<size_t>(a)] = -1;
+    }
+  }
+  for (int32_t& slot : text_slot_) {
+    if (slot >= 0) slot = static_cast<int32_t>(text_slots_++);
+  }
+}
 
 ValueId DecodedColumns::Resolve(AttrIndex attr, std::string_view label) {
   const Attribute& known = base_->attribute(attr);
@@ -377,18 +408,33 @@ ValueId DecodedColumns::Resolve(AttrIndex attr, std::string_view label) {
          overlay_[static_cast<size_t>(attr)].Insert(label);
 }
 
+DecodedColumns::TextRef DecodedColumns::KeepText(std::string_view label) {
+  // Offsets fit in 31 bits: DecodeColumns resolves every attribute of a
+  // payload of 2 GiB or more, and the arena never outgrows the payload.
+  const auto at = reinterpret_cast<uintptr_t>(label.data());
+  const auto from = reinterpret_cast<uintptr_t>(payload_.data());
+  const auto size = static_cast<uint32_t>(label.size());
+  if (at >= from && label.size() <= payload_.size() &&
+      at - from <= payload_.size() - label.size()) {
+    return {static_cast<uint32_t>(at - from), size};
+  }
+  const auto begin = static_cast<uint32_t>(arena_.size()) | kArenaBit;
+  arena_.append(label);
+  return {begin, size};
+}
+
 ColumnBatch DecodedColumns::View(int64_t begin, int64_t count) const {
-  std::vector<const ValueId*> views(columns_.size());
+  std::vector<const ValueId*> views(columns_.size(), nullptr);
   for (size_t a = 0; a < columns_.size(); ++a) {
-    views[a] = columns_[a].data() + begin;
+    if (text_slot_[a] < 0) views[a] = columns_[a].data() + begin;
   }
   return ColumnBatch::FromColumns(std::move(views), count);
 }
 
 Row DecodedColumns::MaterializeRow(int64_t row) const {
-  Row out(columns_.size());
+  Row out(columns_.size(), kNullValue);
   for (size_t a = 0; a < columns_.size(); ++a) {
-    out[a] = columns_[a][static_cast<size_t>(row)];
+    if (text_slot_[a] < 0) out[a] = columns_[a][static_cast<size_t>(row)];
   }
   return out;
 }
@@ -401,14 +447,17 @@ const std::string& DecodedColumns::Label(AttrIndex attr, ValueId code) const {
 
 Result<DecodedColumns> DecodeColumns(RowFormat format,
                                      std::string_view payload,
-                                     const Schema& base, int64_t max_rows) {
-  DecodedColumns columns(&base);
+                                     const Schema& base, int64_t max_rows,
+                                     const std::vector<AttrIndex>* resolve) {
+  // Text offsets have 31 bits.
+  if (payload.size() >= size_t{1} << 31) resolve = nullptr;
+  DecodedColumns columns(&base, payload, resolve);
   ColumnWriter writer(&columns, max_rows);
   Status scanned;
   switch (format) {
     case RowFormat::kCsv: {
       CsvColumnSink sink(base, &writer);
-      scanned = ScanCsv(payload, &sink);
+      scanned = csv_internal::ScanCsvWith(payload, &sink);
       break;
     }
     case RowFormat::kJson:

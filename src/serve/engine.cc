@@ -16,17 +16,26 @@ namespace serve {
 
 namespace {
 
-/// Renders a repaired row as one CSV record, with the same field convention
-/// as Table::ToCsv (NULL cells become empty fields). Overlay labels render
-/// verbatim.
-std::string RowToCsvRecord(const DecodedColumns& columns, const Row& row) {
-  std::vector<std::string> fields;
-  fields.reserve(row.size());
-  for (AttrIndex c = 0; c < columns.num_attributes(); ++c) {
-    ValueId v = row[static_cast<size_t>(c)];
-    fields.push_back(v == kNullValue ? "" : columns.Label(c, v));
+/// Writes repaired row `r` of `columns` into `*out` as one CSV record, with
+/// the same field convention as Table::ToCsv (NULL cells become empty
+/// fields). `row` carries the resolved cells after the repair; overlay
+/// labels and unresolved cells' text render verbatim.
+void WriteRepairedRow(const DecodedColumns& columns, int64_t r,
+                      const Row& row, std::string* out) {
+  const AttrIndex width = columns.num_attributes();
+  auto field = [&](AttrIndex c) -> std::string_view {
+    if (!columns.resolved(c)) return columns.Text(c, r);
+    const ValueId v = row[static_cast<size_t>(c)];
+    return v == kNullValue ? std::string_view() : columns.Label(c, v);
+  };
+  size_t bytes = width > 0 ? static_cast<size_t>(width) - 1 : 0;
+  for (AttrIndex c = 0; c < width; ++c) bytes += field(c).size();
+  out->clear();
+  out->reserve(bytes);
+  for (AttrIndex c = 0; c < width; ++c) {
+    if (c > 0) out->push_back(',');
+    AppendCsvField(field(c), out);
   }
-  return WriteCsvRecord(fields);
 }
 
 /// What every block of one request shares, read-only.
@@ -60,7 +69,8 @@ void ValidateBlock(const RequestScan& scan, int64_t begin, int64_t count,
                  res.violations = static_cast<uint16_t>(
                      std::min<int32_t>(verdict.violations, 0xFFFF));
                  if (verdict.repaired) {
-                   res.detail = RowToCsvRecord(*scan.columns, row);
+                   WriteRepairedRow(*scan.columns, begin + r, row,
+                                    &res.detail);
                  }
                  return true;
                });
@@ -107,7 +117,8 @@ int ResponseDedupWindow::size() const {
   return static_cast<int>(order_.size());
 }
 
-ValidateResponse ValidationEngine::Handle(const ValidateRequest& request) {
+ValidateResponse ValidationEngine::Handle(const ValidateRequest& request,
+                                          std::string_view rows) {
   GUARDRAIL_COUNTER_INC("serve.requests");
   // Retransmit of an already-answered id: replay the remembered bytes
   // before admission — a replay is free and must not be shed, or a retry
@@ -139,7 +150,7 @@ ValidateResponse ValidationEngine::Handle(const ValidateRequest& request) {
     AdmissionController* admission;
     ~Release() { admission->Release(); }
   } release{&admission_};
-  response = HandleAdmitted(request);
+  response = HandleAdmitted(request, rows);
   // Only a processed batch is remembered: its verdicts (including any
   // coerce/rectify repairs) are now "applied" and must never be recomputed
   // for the same id. Errors stay forgettable so a real retry re-runs.
@@ -150,7 +161,7 @@ ValidateResponse ValidationEngine::Handle(const ValidateRequest& request) {
 }
 
 ValidateResponse ValidationEngine::HandleAdmitted(
-    const ValidateRequest& request) {
+    const ValidateRequest& request, std::string_view rows) {
   ValidateResponse response;
   StopWatch watch;
   telemetry::Span span("serve.request");
@@ -181,12 +192,13 @@ ValidateResponse ValidationEngine::HandleAdmitted(
   }
   response.program_version = snapshot->version;
 
-  // Labels are resolved against the snapshot's schema, which never changes
-  // after publication; unseen ones get request-local overlay codes past
-  // each domain, which no compiled branch fires on.
+  // Only the attributes the program reads are resolved, against the
+  // snapshot's schema, which never changes after publication; unseen labels
+  // get request-local overlay codes past each domain, which no compiled
+  // branch fires on. The other cells keep their text for repaired rows.
   Result<DecodedColumns> columns = DecodeColumns(
-      request.format, request.payload, snapshot->schema,
-      options_.max_batch_rows);
+      request.format, rows, snapshot->schema, options_.max_batch_rows,
+      &snapshot->compiled->referenced_attributes());
   if (!columns.ok()) return fail(columns.status());
 
   uint32_t deadline_ms = request.deadline_ms != 0

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -125,14 +126,23 @@ class ValidationEngine {
   ValidationEngine(const ValidationEngine&) = delete;
   ValidationEngine& operator=(const ValidationEngine&) = delete;
 
-  ValidateResponse Handle(const ValidateRequest& request);
+  ValidateResponse Handle(const ValidateRequest& request) {
+    return Handle(request, request.payload);
+  }
+
+  /// Handle with the request's rows in `rows` (request.payload is not
+  /// read): the server passes a view into the frame it received, so the
+  /// rows are never copied out of it.
+  ValidateResponse Handle(const ValidateRequest& request,
+                          std::string_view rows);
 
   const EngineOptions& options() const { return options_; }
   AdmissionController& admission() { return admission_; }
   const ResponseDedupWindow& dedup() const { return dedup_; }
 
  private:
-  ValidateResponse HandleAdmitted(const ValidateRequest& request);
+  ValidateResponse HandleAdmitted(const ValidateRequest& request,
+                                  std::string_view rows);
 
   ProgramRegistry* registry_;
   EngineOptions options_;

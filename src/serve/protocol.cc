@@ -192,13 +192,20 @@ Status WireReader::GetU64(uint64_t* out) {
 }
 
 Status WireReader::GetString(std::string* out) {
+  std::string_view view;
+  GUARDRAIL_RETURN_NOT_OK(GetStringView(&view));
+  out->assign(view);
+  return Status::OK();
+}
+
+Status WireReader::GetStringView(std::string_view* out) {
   uint32_t size = 0;
   GUARDRAIL_RETURN_NOT_OK(GetU32(&size));
   if (remaining() < size) {
     return Status::InvalidArgument("truncated frame (string of " +
                                    std::to_string(size) + " bytes)");
   }
-  out->assign(data_.data() + pos_, size);
+  *out = data_.substr(pos_, size);
   pos_ += size;
   return Status::OK();
 }
@@ -213,88 +220,103 @@ Status WireReader::Finish() const {
 
 namespace {
 
-/// Prepends the little-endian length prefix to a finished payload.
-std::string FinishFrame(std::string payload) {
+/// Starts a frame in one buffer: the length prefix reserved up front (see
+/// FinishFrame), then the message type. `body_bytes` sizes the one
+/// allocation; a short estimate only costs a regrowth.
+std::string BeginFrame(MsgType type, size_t body_bytes) {
   std::string frame;
-  frame.reserve(kFramePrefixBytes + payload.size());
-  PutU32(static_cast<uint32_t>(payload.size()), &frame);
-  frame += payload;
+  frame.reserve(kFramePrefixBytes + 1 + body_bytes);
+  frame.append(kFramePrefixBytes, '\0');
+  PutU8(static_cast<uint8_t>(type), &frame);
+  return frame;
+}
+
+/// Writes the little-endian payload size into the reserved prefix.
+std::string FinishFrame(std::string frame) {
+  const auto size = static_cast<uint32_t>(frame.size() - kFramePrefixBytes);
+  for (uint32_t i = 0; i < kFramePrefixBytes; ++i) {
+    frame[i] = static_cast<char>((size >> (8 * i)) & 0xFF);
+  }
   return frame;
 }
 
 }  // namespace
 
 std::string EncodeValidateRequest(const ValidateRequest& request) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kValidateRequest), &payload);
+  std::string frame =
+      BeginFrame(MsgType::kValidateRequest,
+                 14 + 4 + request.dataset.size() + 4 + request.payload.size());
   uint8_t scheme = 0;
   // Encoding a malformed in-memory enum is a programming error; the switch
   // covers every enumerator so this cannot fail in practice.
   (void)SchemeToWire(request.scheme, &scheme);
-  PutU8(scheme, &payload);
-  PutU8(static_cast<uint8_t>(request.format), &payload);
-  PutU32(request.deadline_ms, &payload);
-  PutU64(request.request_id, &payload);
-  PutString(request.dataset, &payload);
-  PutString(request.payload, &payload);
-  return FinishFrame(std::move(payload));
+  PutU8(scheme, &frame);
+  PutU8(static_cast<uint8_t>(request.format), &frame);
+  PutU32(request.deadline_ms, &frame);
+  PutU64(request.request_id, &frame);
+  PutString(request.dataset, &frame);
+  PutString(request.payload, &frame);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeValidateResponse(const ValidateResponse& response) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kValidateResponse), &payload);
-  PutU8(static_cast<uint8_t>(response.code), &payload);
-  PutString(response.error, &payload);
-  PutU32(response.retry_after_ms, &payload);
-  PutU8(response.duplicate ? 1 : 0, &payload);
-  PutU64(response.program_version, &payload);
-  PutU32(static_cast<uint32_t>(response.rows.size()), &payload);
+  size_t body_bytes = 22 + response.error.size();
   for (const RowResult& row : response.rows) {
-    PutU8(static_cast<uint8_t>(row.verdict), &payload);
-    PutU16(row.violations, &payload);
-    PutString(row.detail, &payload);
+    body_bytes += 7 + row.detail.size();
   }
-  return FinishFrame(std::move(payload));
+  std::string frame = BeginFrame(MsgType::kValidateResponse, body_bytes);
+  PutU8(static_cast<uint8_t>(response.code), &frame);
+  PutString(response.error, &frame);
+  PutU32(response.retry_after_ms, &frame);
+  PutU8(response.duplicate ? 1 : 0, &frame);
+  PutU64(response.program_version, &frame);
+  PutU32(static_cast<uint32_t>(response.rows.size()), &frame);
+  for (const RowResult& row : response.rows) {
+    PutU8(static_cast<uint8_t>(row.verdict), &frame);
+    PutU16(row.violations, &frame);
+    PutString(row.detail, &frame);
+  }
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodePingRequest() {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kPingRequest), &payload);
-  return FinishFrame(std::move(payload));
+  std::string frame = BeginFrame(MsgType::kPingRequest, 0);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodePingResponse(const PingResponse& response) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kPingResponse), &payload);
-  PutU32(response.protocol_version, &payload);
-  PutU8(response.draining ? 1 : 0, &payload);
-  PutU32(static_cast<uint32_t>(response.datasets.size()), &payload);
+  size_t body_bytes = 9;
   for (const DatasetInfo& info : response.datasets) {
-    PutString(info.dataset, &payload);
-    PutU64(info.version, &payload);
-    PutU64(info.source_hash, &payload);
-    PutU32(info.statements, &payload);
+    body_bytes += 24 + info.dataset.size();
   }
-  return FinishFrame(std::move(payload));
+  std::string frame = BeginFrame(MsgType::kPingResponse, body_bytes);
+  PutU32(response.protocol_version, &frame);
+  PutU8(response.draining ? 1 : 0, &frame);
+  PutU32(static_cast<uint32_t>(response.datasets.size()), &frame);
+  for (const DatasetInfo& info : response.datasets) {
+    PutString(info.dataset, &frame);
+    PutU64(info.version, &frame);
+    PutU64(info.source_hash, &frame);
+    PutU32(info.statements, &frame);
+  }
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeHealthRequest() {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kHealthRequest), &payload);
-  return FinishFrame(std::move(payload));
+  std::string frame = BeginFrame(MsgType::kHealthRequest, 0);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeHealthResponse(const HealthResponse& response) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kHealthResponse), &payload);
-  PutU32(response.protocol_version, &payload);
-  PutU8(response.draining ? 1 : 0, &payload);
-  PutU32(response.inflight, &payload);
-  PutU32(response.max_inflight, &payload);
-  PutU64(response.registry_versions, &payload);
-  PutU32(response.live_datasets, &payload);
-  PutU32(response.superseded_snapshots, &payload);
-  return FinishFrame(std::move(payload));
+  std::string frame = BeginFrame(MsgType::kHealthResponse, 29);
+  PutU32(response.protocol_version, &frame);
+  PutU8(response.draining ? 1 : 0, &frame);
+  PutU32(response.inflight, &frame);
+  PutU32(response.max_inflight, &frame);
+  PutU64(response.registry_versions, &frame);
+  PutU32(response.live_datasets, &frame);
+  PutU32(response.superseded_snapshots, &frame);
+  return FinishFrame(std::move(frame));
 }
 
 Status PeekMsgType(std::string_view payload, MsgType* out) {
@@ -310,6 +332,14 @@ Status PeekMsgType(std::string_view payload, MsgType* out) {
 }
 
 Status DecodeValidateRequest(std::string_view payload, ValidateRequest* out) {
+  std::string_view rows;
+  GUARDRAIL_RETURN_NOT_OK(DecodeValidateRequest(payload, out, &rows));
+  out->payload.assign(rows);
+  return Status::OK();
+}
+
+Status DecodeValidateRequest(std::string_view payload, ValidateRequest* out,
+                             std::string_view* rows) {
   WireReader reader(payload);
   GUARDRAIL_RETURN_NOT_OK(ExpectMsgType(&reader, MsgType::kValidateRequest));
   uint8_t scheme = 0;
@@ -321,7 +351,7 @@ Status DecodeValidateRequest(std::string_view payload, ValidateRequest* out) {
   GUARDRAIL_RETURN_NOT_OK(reader.GetU32(&out->deadline_ms));
   GUARDRAIL_RETURN_NOT_OK(reader.GetU64(&out->request_id));
   GUARDRAIL_RETURN_NOT_OK(reader.GetString(&out->dataset));
-  GUARDRAIL_RETURN_NOT_OK(reader.GetString(&out->payload));
+  GUARDRAIL_RETURN_NOT_OK(reader.GetStringView(rows));
   return reader.Finish();
 }
 
@@ -400,26 +430,27 @@ Status DecodeHealthRequest(std::string_view payload) {
 }
 
 std::string EncodeIngestRequest(const IngestRequest& request) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kIngestRequest), &payload);
-  PutU8(static_cast<uint8_t>(request.format), &payload);
-  PutU8(request.force_refresh ? 1 : 0, &payload);
-  PutString(request.dataset, &payload);
-  PutString(request.payload, &payload);
-  return FinishFrame(std::move(payload));
+  std::string frame =
+      BeginFrame(MsgType::kIngestRequest,
+                 2 + 4 + request.dataset.size() + 4 + request.payload.size());
+  PutU8(static_cast<uint8_t>(request.format), &frame);
+  PutU8(request.force_refresh ? 1 : 0, &frame);
+  PutString(request.dataset, &frame);
+  PutString(request.payload, &frame);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeIngestResponse(const IngestResponse& response) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(MsgType::kIngestResponse), &payload);
-  PutU8(static_cast<uint8_t>(response.code), &payload);
-  PutString(response.error, &payload);
-  PutU64(response.rows_ingested, &payload);
-  PutU8(static_cast<uint8_t>(response.action), &payload);
-  PutU64(std::bit_cast<uint64_t>(response.drift_score), &payload);
-  PutU64(response.program_version, &payload);
-  PutU8(response.published ? 1 : 0, &payload);
-  return FinishFrame(std::move(payload));
+  std::string frame =
+      BeginFrame(MsgType::kIngestResponse, 31 + response.error.size());
+  PutU8(static_cast<uint8_t>(response.code), &frame);
+  PutString(response.error, &frame);
+  PutU64(response.rows_ingested, &frame);
+  PutU8(static_cast<uint8_t>(response.action), &frame);
+  PutU64(std::bit_cast<uint64_t>(response.drift_score), &frame);
+  PutU64(response.program_version, &frame);
+  PutU8(response.published ? 1 : 0, &frame);
+  return FinishFrame(std::move(frame));
 }
 
 Status DecodeIngestRequest(std::string_view payload, IngestRequest* out) {

@@ -219,6 +219,8 @@ class WireReader {
   Status GetU32(uint32_t* out);
   Status GetU64(uint64_t* out);
   Status GetString(std::string* out);
+  /// GetString without the copy: `*out` views the payload.
+  Status GetStringView(std::string_view* out);
 
   size_t remaining() const { return data_.size() - pos_; }
 
@@ -251,6 +253,10 @@ std::string EncodeIngestResponse(const IngestResponse& response);
 Status PeekMsgType(std::string_view payload, MsgType* out);
 
 Status DecodeValidateRequest(std::string_view payload, ValidateRequest* out);
+/// DecodeValidateRequest without copying the rows: `out->payload` is left
+/// as it was and `*rows` views the rows' bytes inside `payload`.
+Status DecodeValidateRequest(std::string_view payload, ValidateRequest* out,
+                             std::string_view* rows);
 Status DecodeValidateResponse(std::string_view payload, ValidateResponse* out);
 Status DecodePingRequest(std::string_view payload);
 Status DecodePingResponse(std::string_view payload, PingResponse* out);

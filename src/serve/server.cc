@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 
 #include "common/failpoint.h"
 #include "common/telemetry/telemetry.h"
@@ -199,9 +200,12 @@ void Server::ConnectionLoop(int fd) {
       break;
     }
 
-    std::string payload(payload_size, '\0');
-    r = ReadFull(fd, reinterpret_cast<uint8_t*>(payload.data()),
-                 payload.size(), draining_, /*abort_on_drain=*/false);
+    // Every byte is about to be received over, so the buffer is not
+    // zero-filled first.
+    std::unique_ptr<char[]> payload =
+        std::make_unique_for_overwrite<char[]>(payload_size);
+    r = ReadFull(fd, reinterpret_cast<uint8_t*>(payload.get()), payload_size,
+                 draining_, /*abort_on_drain=*/false);
     if (r != IoResult::kOk) break;
 
     GUARDRAIL_COUNTER_INC("serve.frames");
@@ -212,7 +216,8 @@ void Server::ConnectionLoop(int fd) {
       GUARDRAIL_COUNTER_INC("serve.chaos_drops");
       break;
     }
-    std::string response = HandlePayload(payload);
+    std::string response = HandlePayload(
+        std::string_view(payload.get(), static_cast<size_t>(payload_size)));
     if (WriteFull(fd, response) != IoResult::kOk) break;
 
     if (draining_.load(std::memory_order_acquire)) break;
@@ -269,13 +274,15 @@ std::string Server::HandlePayload(std::string_view payload) {
       return EncodeHealthResponse(health);
     }
     case MsgType::kValidateRequest: {
+      // The engine decodes the rows where they lie in the frame.
       ValidateRequest request;
-      st = DecodeValidateRequest(payload, &request);
+      std::string_view rows;
+      st = DecodeValidateRequest(payload, &request, &rows);
       if (!st.ok()) {
         GUARDRAIL_COUNTER_INC("serve.bad_frames");
         return ErrorFrame(StatusCode::kInvalidArgument, st.message());
       }
-      return EncodeValidateResponse(engine_->Handle(request));
+      return EncodeValidateResponse(engine_->Handle(request, rows));
     }
     case MsgType::kIngestRequest: {
       IngestRequest request;

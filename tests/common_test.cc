@@ -621,6 +621,115 @@ TEST(CsvTest, ParseCsvMatchesSeedGrammarOnRandomText) {
   EXPECT_GT(accepted, 1000);
 }
 
+// ParseCsv and the seed grammar give the same document, or the same error
+// text, for `text`.
+testing::AssertionResult MatchesSeedGrammar(const std::string& text) {
+  const std::string shown = text.size() <= 400
+                                ? testing::PrintToString(text)
+                                : std::to_string(text.size()) + "-byte text";
+  Result<CsvDocument> got = ParseCsv(text);
+  Result<CsvDocument> want = SeedParseCsv(text);
+  if (got.ok() != want.ok()) {
+    return testing::AssertionFailure()
+           << shown << ": got " << got.status().ToString() << ", want "
+           << want.status().ToString();
+  }
+  if (!want.ok()) {
+    if (got.status().ToString() == want.status().ToString()) {
+      return testing::AssertionSuccess();
+    }
+    return testing::AssertionFailure()
+           << shown << ": got " << got.status().ToString() << ", want "
+           << want.status().ToString();
+  }
+  if (got->header != want->header || got->rows != want->rows) {
+    return testing::AssertionFailure() << shown << ": documents differ";
+  }
+  return testing::AssertionSuccess();
+}
+
+// Whole records of three unquoted columns, fields of 0-9 letters (so field
+// ends land at every offset of the scanner's 64-byte blocks) and the odd
+// blank line, until the text reaches `bytes` bytes.
+std::string PlainCsv(size_t bytes, Rng* rng) {
+  std::string text = "id,name,city";
+  while (text.size() < bytes) {
+    text += '\n';
+    if (rng->NextUint64(12) == 0) text += '\n';
+    for (int c = 0; c < 3; ++c) {
+      if (c > 0) text += ',';
+      text.append(rng->NextUint64(10),
+                  static_cast<char>('d' + rng->NextUint64(20)));
+    }
+  }
+  return text;
+}
+
+// The 64-byte block scanner against the character-at-a-time seed grammar:
+// texts of 0 to 300 bytes, well-formed and cut short, then with each fault
+// class inserted at every byte offset (so at every offset modulo 64 of the
+// first blocks): a quote, a CR, a NUL, an extra comma (a ragged record), a
+// quote after a letter (misplaced), and a field one byte past the cap.
+TEST(CsvTest, BlockScannerMatchesSeedGrammarAtEveryOffset) {
+  Rng rng(64);
+  const std::string faults[] = {"\"", "\r", std::string(1, '\0'), ",",
+                                "m\""};
+  int accepted = 0;
+  for (size_t bytes = 0; bytes <= 300; bytes += 7) {
+    const std::string text = PlainCsv(bytes, &rng);
+    ASSERT_TRUE(MatchesSeedGrammar(text));
+    accepted += ParseCsv(text).ok() ? 1 : 0;
+    // Cut mid-record, mid-field and inside the last partial block.
+    ASSERT_TRUE(MatchesSeedGrammar(text.substr(0, bytes)));
+    for (size_t at = 0; at <= text.size(); ++at) {
+      for (const std::string& fault : faults) {
+        std::string faulty = text;
+        faulty.insert(at, fault);
+        ASSERT_TRUE(MatchesSeedGrammar(faulty));
+      }
+    }
+  }
+  EXPECT_GT(accepted, 30);
+
+  // An overlong field starting, or growing, at each of the first 128
+  // offsets.
+  const std::string text = PlainCsv(200, &rng);
+  const std::string overlong(kMaxCsvFieldBytes + 1, 'z');
+  for (size_t at = 0; at < 128; ++at) {
+    std::string faulty = text;
+    faulty.insert(at, overlong);
+    ASSERT_TRUE(MatchesSeedGrammar(faulty)) << "offset " << at;
+  }
+}
+
+// Texts whose last block is partial: every length past the last whole
+// block, ending with and without a newline, with a field straddling the
+// last block boundary.
+TEST(CsvTest, BlockScannerReadsPartialLastBlock) {
+  Rng rng(65);
+  for (size_t tail = 0; tail < 64; ++tail) {
+    std::string text = "k,v\n";
+    while (text.size() < 3 * 64 - 5) {
+      text += "ab,cd\n";
+    }
+    text.resize(3 * 64 - 5);
+    text += "\nlongish,";
+    while (text.size() < 3 * 64 + tail) {
+      text += static_cast<char>('e' + rng.NextUint64(10));
+    }
+    ASSERT_TRUE(ParseCsv(text).ok()) << "tail " << tail;
+    ASSERT_TRUE(MatchesSeedGrammar(text)) << "tail " << tail;
+    ASSERT_TRUE(MatchesSeedGrammar(text + "\n")) << "tail " << tail;
+  }
+}
+
+// A field is quoted exactly when it holds a comma, quote, CR or LF.
+TEST(CsvTest, WriteCsvRecordQuotesOnlyWhatNeedsIt) {
+  EXPECT_EQ(WriteCsvRecord({"plain", "", "a,b", "q\"t", "c\rr", "l\nf",
+                            "sp ace\t"}),
+            "plain,,\"a,b\",\"q\"\"t\",\"c\rr\",\"l\nf\",sp ace\t");
+}
+
 TEST(CsvTest, WriteReadRoundTrip) {
   CsvDocument doc;
   doc.header = {"name", "note"};

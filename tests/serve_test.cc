@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -130,6 +131,69 @@ TEST(ProtocolTest, ValidateRequestRoundTrips) {
   EXPECT_EQ(decoded.deadline_ms, request.deadline_ms);
   EXPECT_EQ(decoded.request_id, request.request_id);
   EXPECT_EQ(decoded.payload, request.payload);
+
+  // The view decode leaves the rows where they lie in the frame.
+  ValidateRequest header;
+  std::string_view rows;
+  ASSERT_TRUE(DecodeValidateRequest(payload, &header, &rows).ok());
+  EXPECT_EQ(rows, request.payload);
+  EXPECT_EQ(rows.data() + rows.size(), payload.data() + payload.size());
+  EXPECT_TRUE(header.payload.empty());
+  EXPECT_EQ(header.dataset, request.dataset);
+  EXPECT_EQ(header.request_id, request.request_id);
+}
+
+// `bytes` little-endian bytes of `value`.
+std::string Le(uint64_t value, int bytes) {
+  std::string out;
+  for (int i = 0; i < bytes; ++i) {
+    out += static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return out;
+}
+
+// Frame bytes are the wire contract: pinned here byte by byte, not through
+// the decoders.
+TEST(ProtocolTest, FramesAreByteExact) {
+  ValidateRequest request;
+  request.dataset = "hospital";
+  request.scheme = core::ErrorPolicy::kRectify;
+  request.format = RowFormat::kJson;
+  request.deadline_ms = 250;
+  request.request_id = 0xFEEDFACECAFEBEEFULL;
+  request.payload = "[{\"a\":\"x\"}]";
+  const std::string request_body = std::string("\x01\x03\x01", 3) +
+                                   Le(250, 4) + Le(request.request_id, 8) +
+                                   Le(8, 4) + "hospital" + Le(11, 4) +
+                                   request.payload;
+  EXPECT_EQ(EncodeValidateRequest(request),
+            Le(request_body.size(), 4) + request_body);
+
+  ValidateResponse response;
+  response.code = StatusCode::kOk;
+  response.retry_after_ms = 9;
+  response.duplicate = true;
+  response.program_version = 7;
+  response.rows = {{RowVerdict::kOk, 0, ""},
+                   {RowVerdict::kViolation, 258, "94704,Berkeley"}};
+  const std::string response_body =
+      std::string("\x02\x00", 2) + Le(0, 4) + Le(9, 4) + "\x01" + Le(7, 8) +
+      Le(2, 4) + std::string("\x00", 1) + Le(0, 2) + Le(0, 4) + "\x01" +
+      Le(258, 2) + Le(14, 4) + "94704,Berkeley";
+  EXPECT_EQ(EncodeValidateResponse(response),
+            Le(response_body.size(), 4) + response_body);
+
+  EXPECT_EQ(EncodePingRequest(), Le(1, 4) + "\x03");
+  EXPECT_EQ(EncodeHealthRequest(), Le(1, 4) + "\x05");
+
+  IngestRequest ingest;
+  ingest.dataset = "d";
+  ingest.force_refresh = true;
+  ingest.payload = "a\n1\n";
+  const std::string ingest_body = std::string("\x07\x00\x01", 3) + Le(1, 4) +
+                                  "d" + Le(4, 4) + "a\n1\n";
+  EXPECT_EQ(EncodeIngestRequest(ingest),
+            Le(ingest_body.size(), 4) + ingest_body);
 }
 
 TEST(ProtocolTest, ValidateResponseRoundTrips) {
@@ -948,12 +1012,16 @@ std::string CsvField(const std::string& label, Rng* rng) {
   return out + "\"";
 }
 
-// A CSV payload with every accept path (quoted fields, "" escapes, CRLF,
-// blank lines, empty fields, unseen labels) and, sometimes, one or more
-// faults of each class: header mismatch, ragged row, NUL byte, unterminated
-// or misplaced quote, characters after a closing quote, overlong field.
-std::string RandomCsvPayload(const Schema& schema, Rng* rng) {
+// A CSV payload of `rows` rows with every accept path (quoted fields, ""
+// escapes, CRLF, blank lines, empty fields, unseen labels) and, sometimes,
+// one or more faults of each class: header mismatch, ragged row, NUL byte,
+// unterminated or misplaced quote, characters after a closing quote,
+// overlong field. Per-row faults thin out as `rows` grows, so a long
+// payload is about as likely to be well-formed as a short one.
+std::string RandomCsvPayload(const Schema& schema, uint64_t rows, Rng* rng) {
   auto chance = [&](uint64_t one_in) { return rng->NextUint64(one_in) == 0; };
+  const uint64_t thin = 1 + rows / 8;
+  auto row_fault = [&](uint64_t one_in) { return chance(one_in * thin); };
   auto eol = [&]() -> std::string { return chance(3) ? "\r\n" : "\n"; };
   const size_t width = static_cast<size_t>(schema.num_attributes());
   std::vector<std::string> header = schema.AttributeNames();
@@ -966,19 +1034,18 @@ std::string RandomCsvPayload(const Schema& schema, Rng* rng) {
     if (c > 0) text += ',';
     text += c < header.size() ? CsvField(header[c], rng) : "extra";
   }
-  const uint64_t rows = rng->NextUint64(9);
   for (uint64_t r = 0; r < rows; ++r) {
     text += eol();
     if (chance(6)) text += eol();  // Blank line.
     size_t row_fields = fields;
-    if (chance(20)) row_fields = chance(2) ? fields + 1 : fields - 1;
+    if (row_fault(20)) row_fields = chance(2) ? fields + 1 : fields - 1;
     for (size_t c = 0; c < row_fields; ++c) {
       if (c > 0) text += ',';
       AttrIndex attr = static_cast<AttrIndex>(c % width);
       std::string field = CsvField(RandomLabel(schema, attr, rng), rng);
-      if (chance(40)) field = "ab\"c";
-      if (chance(40)) field = "\"ab\"c";
-      if (chance(1500)) field = std::string(kMaxCsvFieldBytes, 'z');
+      if (row_fault(40)) field = "ab\"c";
+      if (row_fault(40)) field = "\"ab\"c";
+      if (row_fault(1500)) field = std::string(kMaxCsvFieldBytes, 'z');
       text += field;
     }
   }
@@ -1009,34 +1076,36 @@ std::string JsonString(const std::string& text, Rng* rng) {
   return out + "\"";
 }
 
-// A JSON payload: objects with keys in random order and null cells, and,
-// sometimes, a missing, repeated or unknown attribute, a non-string value,
-// a stray byte, a truncation or trailing content.
-std::string RandomJsonPayload(const Schema& schema, Rng* rng) {
+// A JSON payload of `rows` objects with keys in random order and null
+// cells, and, sometimes, a missing, repeated or unknown attribute, a
+// non-string value, a stray byte, a truncation or trailing content.
+// Per-row faults thin out as `rows` grows.
+std::string RandomJsonPayload(const Schema& schema, uint64_t rows, Rng* rng) {
   auto chance = [&](uint64_t one_in) { return rng->NextUint64(one_in) == 0; };
+  const uint64_t thin = 1 + rows / 8;
+  auto row_fault = [&](uint64_t one_in) { return chance(one_in * thin); };
   auto ws = [&]() -> std::string { return chance(4) ? " \n" : ""; };
   std::string text = "[" + ws();
-  const uint64_t rows = rng->NextUint64(8);
   for (uint64_t r = 0; r < rows; ++r) {
     if (r > 0) text += "," + ws();
     std::vector<AttrIndex> keys;
     for (AttrIndex c = 0; c < schema.num_attributes(); ++c) keys.push_back(c);
     rng->Shuffle(&keys);
-    if (chance(15)) keys.pop_back();
-    if (chance(15)) keys.push_back(keys.front());
+    if (row_fault(15)) keys.pop_back();
+    if (row_fault(15)) keys.push_back(keys.front());
     text += "{";
     for (size_t k = 0; k < keys.size(); ++k) {
       if (k > 0) text += "," + ws();
       text += JsonString(schema.attribute(keys[k]).name(), rng) + ":" + ws();
       if (chance(6)) {
         text += "null";
-      } else if (chance(60)) {
+      } else if (row_fault(60)) {
         text += "42";
       } else {
         text += JsonString(RandomLabel(schema, keys[k], rng), rng);
       }
     }
-    if (chance(40)) text += ",\"zz\":\"u\"";
+    if (row_fault(40)) text += ",\"zz\":\"u\"";
     text += "}";
   }
   text += ws() + "]";
@@ -1047,27 +1116,46 @@ std::string RandomJsonPayload(const Schema& schema, Rng* rng) {
 }
 
 // Seeded differential test: on random CSV and JSON payloads the columnar
-// decoder reports the oracle's status text, the oracle's codes, and as its
-// overlay exactly the labels GetOrInsert appended to the oracle's schema
-// copy. DecodeRows agrees too, and grows its schema only on success.
+// decoder reports the oracle's status text whatever it resolves. Each case
+// resolves a random set of attributes: resolved columns carry the oracle's
+// codes and, as their overlay, exactly the labels GetOrInsert appended to
+// the oracle's schema copy; every other cell's text is the oracle's label
+// (empty for a null) and its overlay stays empty. One case in five has
+// 200-263 rows, so fields straddle the CSV scanner's 64-byte blocks.
+// DecodeRows agrees too, and grows its schema only on success.
 TEST(DecodeTest, ColumnsMatchSeedRowDecoder) {
   const Schema base = DecodeTestSchema();
   Rng rng(13);
   int accepted = 0;
+  int accepted_long = 0;
   int unseen = 0;
+  int texts = 0;
   for (int iter = 0; iter < 6000; ++iter) {
     const RowFormat format = iter % 2 == 0 ? RowFormat::kCsv : RowFormat::kJson;
+    const uint64_t rows = iter % 10 < 2 ? 200 + rng.NextUint64(64)
+                          : format == RowFormat::kCsv ? rng.NextUint64(9)
+                                                      : rng.NextUint64(8);
     const std::string payload = format == RowFormat::kCsv
-                                    ? RandomCsvPayload(base, &rng)
-                                    : RandomJsonPayload(base, &rng);
+                                    ? RandomCsvPayload(base, rows, &rng)
+                                    : RandomJsonPayload(base, rows, &rng);
     const int64_t max_rows =
-        rng.NextUint64(8) == 0 ? static_cast<int64_t>(rng.NextUint64(6)) : 64;
+        rng.NextUint64(8) == 0 ? static_cast<int64_t>(rng.NextUint64(6)) : 4096;
+    std::vector<AttrIndex> resolve;
+    for (AttrIndex c = 0; c < base.num_attributes(); ++c) {
+      if (rng.NextUint64(2) == 0) resolve.push_back(c);
+    }
+    const bool resolve_all = rng.NextUint64(4) == 0;
+    auto resolved = [&](AttrIndex c) {
+      return resolve_all ||
+             std::find(resolve.begin(), resolve.end(), c) != resolve.end();
+    };
     const std::string context = testing::PrintToString(payload);
 
     Schema oracle_schema = base;
     Result<std::vector<Row>> want =
         SeedDecodeRows(format, payload, &oracle_schema, max_rows);
-    Result<DecodedColumns> got = DecodeColumns(format, payload, base, max_rows);
+    Result<DecodedColumns> got = DecodeColumns(
+        format, payload, base, max_rows, resolve_all ? nullptr : &resolve);
     Schema wrapped_schema = base;
     Result<std::vector<Row>> wrapped =
         DecodeRows(format, payload, &wrapped_schema, max_rows);
@@ -1087,24 +1175,51 @@ TEST(DecodeTest, ColumnsMatchSeedRowDecoder) {
       continue;
     }
     ++accepted;
+    accepted_long += rows >= 200 ? 1 : 0;
     ASSERT_EQ(got->num_rows(), static_cast<int64_t>(want->size())) << context;
+    const ColumnBatch view = got->View(0, got->num_rows());
+    for (AttrIndex c = 0; c < base.num_attributes(); ++c) {
+      ASSERT_EQ(got->resolved(c), resolved(c));
+      if (got->num_rows() > 0) {
+        ASSERT_EQ(view.column(c) == nullptr, !resolved(c)) << context;
+      }
+    }
     for (int64_t r = 0; r < got->num_rows(); ++r) {
-      ASSERT_EQ(got->MaterializeRow(r), (*want)[static_cast<size_t>(r)])
-          << context << " row " << r;
+      const Row row = got->MaterializeRow(r);
+      const Row& expected = (*want)[static_cast<size_t>(r)];
+      for (AttrIndex c = 0; c < base.num_attributes(); ++c) {
+        const ValueId code = expected[static_cast<size_t>(c)];
+        if (resolved(c)) {
+          ASSERT_EQ(row[static_cast<size_t>(c)], code)
+              << context << " row " << r << " attribute " << c;
+          continue;
+        }
+        ASSERT_EQ(row[static_cast<size_t>(c)], kNullValue);
+        const std::string label =
+            code == kNullValue ? "" : oracle_schema.attribute(c).label(code);
+        ASSERT_EQ(got->Text(c, r), label)
+            << context << " row " << r << " attribute " << c;
+        ++texts;
+      }
     }
     ASSERT_EQ(*wrapped, *want) << context;
     for (AttrIndex c = 0; c < base.num_attributes(); ++c) {
       const auto& full = oracle_schema.attribute(c).domain();
       const std::vector<std::string> minted(
           full.begin() + base.attribute(c).domain_size(), full.end());
-      ASSERT_EQ(got->overlay(c), minted) << context;
+      ASSERT_EQ(got->overlay(c),
+                resolved(c) ? minted : std::vector<std::string>())
+          << context;
       ASSERT_EQ(wrapped_schema.attribute(c).domain(), full) << context;
-      unseen += static_cast<int>(minted.size());
+      unseen += resolved(c) ? static_cast<int>(minted.size()) : 0;
     }
   }
-  // The generator must exercise both outcomes, and the overlay.
+  // The generator must exercise both outcomes, long payloads, the overlay
+  // and the kept texts.
   EXPECT_GT(accepted, 1500);
+  EXPECT_GT(accepted_long, 120);
   EXPECT_GT(unseen, 1500);
+  EXPECT_GT(texts, 10000);
 }
 
 // The regression DecodeRows used to have: a rejected batch extended the
@@ -1150,6 +1265,113 @@ TEST(DecodeTest, RejectedBatchLeavesDomainsUnchanged) {
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ(schema.attribute(0).label((*rows)[0][0]), "fresh_a");
   EXPECT_EQ(schema.attribute(1).label((*rows)[0][1]), "fresh_b");
+}
+
+// ---- Engine: attributes the program does not read ---------------------
+
+// zip -> city between two free-text columns the program never reads. The
+// engine keeps those columns as text; on the rows rectify or coerce repairs
+// they must render byte for byte as the offline Guard renders its resolved
+// labels, whether they arrived quoted, with "" escapes, JSON-escaped or as
+// JSON null.
+TEST(EngineParityTest, UnreferencedColumnsRenderAsTheOfflineGuardDoes) {
+  auto doc = ParseCsv(
+      "zip,memo,city,tag\n"
+      "94704,m,Berkeley,t\n"
+      "94607,m,Oakland,t\n");
+  ASSERT_TRUE(doc.ok());
+  auto table = Table::FromCsv(*doc);
+  ASSERT_TRUE(table.ok());
+  ProgramRegistry registry;
+  ASSERT_TRUE(
+      registry.LoadFromText("demo", kProgramText, table->schema()).ok());
+  auto snapshot = registry.Get("demo");
+  ASSERT_EQ(snapshot->compiled->referenced_attributes(),
+            std::vector<AttrIndex>({0, 2}));
+
+  const char* const kZips[] = {"94704", "94607", "10001"};
+  const char* const kCities[] = {"Berkeley", "Oakland", "Fresno"};
+  const char* const kTexts[] = {"m",           "t",        "",
+                                "with, comma", "q\"uote",  "line\nbreak",
+                                "cr\r\nlf",    "tab\there", "\xc3\xa9t\xc3\xa9",
+                                "back\\slash", "lone\rcr"};
+  Rng rng(2026);
+  std::vector<Row> rows;  // Offline rows over a copy of the schema.
+  Schema offline = snapshot->schema;
+  std::string csv = "zip,memo,city,tag\n";
+  std::string json = "[";
+  for (int r = 0; r < 300; ++r) {
+    const std::string zip = kZips[rng.NextUint64(3)];
+    const std::string city = kCities[rng.NextUint64(3)];
+    const std::string memo = kTexts[rng.NextUint64(std::size(kTexts))];
+    const std::string tag = kTexts[rng.NextUint64(std::size(kTexts))];
+    const bool null_memo = rng.NextUint64(8) == 0;
+    csv += zip + "," + CsvField(memo, &rng) + "," + city + "," +
+           CsvField(tag, &rng) + "\n";
+    json += std::string(r > 0 ? "," : "") + "{\"zip\":\"" + zip +
+            "\",\"memo\":" + (null_memo ? "null" : JsonString(memo, &rng)) +
+            ",\"city\":\"" + city + "\",\"tag\":" + JsonString(tag, &rng) +
+            "}";
+    rows.push_back({offline.attribute(0).GetOrInsert(zip),
+                    offline.attribute(1).GetOrInsert(memo),
+                    offline.attribute(2).GetOrInsert(city),
+                    offline.attribute(3).GetOrInsert(tag)});
+    if (null_memo) {
+      Row json_row = rows.back();
+      json_row[1] = kNullValue;
+      rows.push_back(json_row);  // The JSON variant of row r, at 2r + 1.
+    } else {
+      rows.push_back(rows.back());
+    }
+  }
+  json += "]";
+
+  core::Guard guard(&snapshot->program);
+  for (bool parallel : {false, true}) {
+    EngineOptions options;
+    if (parallel) {
+      options.parallel_batch_threshold = 1;
+      options.rows_per_shard = 64;
+    }
+    ValidationEngine engine(&registry, options);
+    for (core::ErrorPolicy scheme :
+         {core::ErrorPolicy::kRectify, core::ErrorPolicy::kCoerce}) {
+      for (RowFormat format : {RowFormat::kCsv, RowFormat::kJson}) {
+        ValidateResponse response = engine.Handle(DemoRequest(
+            format == RowFormat::kCsv ? csv : json, scheme, format));
+        ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
+        ASSERT_EQ(response.rows.size(), 300u);
+        int escaped = 0;
+        for (size_t r = 0; r < 300; ++r) {
+          const Row& row = rows[2 * r + (format == RowFormat::kJson ? 1 : 0)];
+          auto checked = guard.interpreter().CheckedCheck(row);
+          ASSERT_TRUE(checked.ok());
+          RowResult want;
+          if (!checked->empty()) {
+            want.verdict = RowVerdict::kViolation;
+            want.violations = static_cast<uint16_t>(checked->size());
+            auto repaired = guard.ProcessRow(row, scheme);
+            ASSERT_TRUE(repaired.ok());
+            if (!(*repaired == row)) {
+              std::vector<std::string> fields;
+              for (AttrIndex c = 0; c < 4; ++c) {
+                const ValueId v = (*repaired)[static_cast<size_t>(c)];
+                fields.push_back(
+                    v == kNullValue ? "" : offline.attribute(c).label(v));
+              }
+              want.detail = WriteCsvRecord(fields);
+            }
+          }
+          EXPECT_TRUE(response.rows[r] == want)
+              << RowFormatName(format) << " " << core::ErrorPolicyName(scheme)
+              << " row " << r << ": got '" << response.rows[r].detail
+              << "', want '" << want.detail << "'";
+          escaped += want.detail.find('"') != std::string::npos ? 1 : 0;
+        }
+        EXPECT_GT(escaped, 20);
+      }
+    }
+  }
 }
 
 // ---- Engine: unseen labels ---------------------------------------------
