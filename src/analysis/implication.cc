@@ -1,7 +1,9 @@
 #include "analysis/implication.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <unordered_map>
 
 namespace guardrail {
 namespace analysis {
@@ -146,8 +148,67 @@ ClosureResult ComputeClosure(Region seed, const core::Program& program,
   return out;
 }
 
+namespace {
+
+/// FNV-1a over exactly the fields `core::Statement::operator==` compares.
+uint64_t StructureHash(const core::Statement& stmt) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](int64_t v) {
+    h = (h ^ static_cast<uint64_t>(v)) * 0x100000001b3ULL;
+  };
+  mix(stmt.dependent);
+  mix(static_cast<int64_t>(stmt.determinants.size()));
+  for (AttrIndex a : stmt.determinants) mix(a);
+  mix(static_cast<int64_t>(stmt.branches.size()));
+  for (const core::Branch& branch : stmt.branches) {
+    mix(static_cast<int64_t>(branch.condition.equalities.size()));
+    for (const auto& [attr, value] : branch.condition.equalities) {
+      mix(attr);
+      mix(value);
+    }
+    mix(branch.target);
+    mix(branch.assignment);
+  }
+  return h;
+}
+
+}  // namespace
+
+StatementTwins::StatementTwins(const core::Program& program) {
+  const size_t n = program.statements.size();
+  class_of_.resize(n);
+  std::unordered_map<uint64_t, std::vector<size_t>> classes_by_hash;
+  for (size_t i = 0; i < n; ++i) {
+    const core::Statement& stmt = program.statements[i];
+    std::vector<size_t>& bucket = classes_by_hash[StructureHash(stmt)];
+    size_t found = kNone;
+    for (size_t c : bucket) {
+      if (program.statements[members_[c].front()] == stmt) {
+        found = c;
+        break;
+      }
+    }
+    if (found == kNone) {
+      found = members_.size();
+      bucket.push_back(found);
+      members_.emplace_back();
+    }
+    class_of_[i] = found;
+    members_[found].push_back(i);
+  }
+}
+
+size_t StatementTwins::FirstActiveTwin(size_t j,
+                                       const std::vector<char>& active) const {
+  for (size_t k : members_[class_of_[j]]) {
+    if (k != j && (active.empty() || active[k])) return k;
+  }
+  return kNone;
+}
+
 ImplicationProof StatementImpliedBy(const core::Program& program, size_t j,
-                                    const std::vector<char>& active) {
+                                    const std::vector<char>& active,
+                                    const StatementTwins& twins) {
   ImplicationProof proof;
   if (j >= program.statements.size()) return proof;
   const core::Statement& stmt = program.statements[j];
@@ -156,13 +217,11 @@ ImplicationProof StatementImpliedBy(const core::Program& program, size_t j,
   // scale: the synthesis ensemble is a raw member-DAG union where most
   // statements are duplicates, and proving each via fixpoint closure over
   // the whole program would make minimization quadratic in union size.
-  for (size_t k = 0; k < program.statements.size(); ++k) {
-    if (k == j || (!active.empty() && !active[k])) continue;
-    if (program.statements[k] == stmt) {
-      proof.implied = true;
-      proof.impliers.push_back(k);
-      return proof;
-    }
+  const size_t twin = twins.FirstActiveTwin(j, active);
+  if (twin != StatementTwins::kNone) {
+    proof.implied = true;
+    proof.impliers.push_back(twin);
+    return proof;
   }
   std::vector<size_t> impliers;
   for (size_t b = 0; b < stmt.branches.size(); ++b) {
@@ -244,17 +303,17 @@ ImplicationLattice BuildImplicationLattice(const core::Program& program) {
   lattice.proofs.resize(n);
   lattice.duplicate_of.assign(n, ImplicationLattice::kNoDuplicate);
   const std::vector<char> all_active(n, 1);
+  const StatementTwins twins(program);
   for (size_t j = 0; j < n; ++j) {
-    ImplicationProof proof = StatementImpliedBy(program, j, all_active);
+    ImplicationProof proof = StatementImpliedBy(program, j, all_active, twins);
     lattice.implied[j] = proof.implied ? 1 : 0;
     lattice.proofs[j] = std::move(proof);
-    for (size_t i = 0; i < j; ++i) {
-      // Statement equality ignores advisory support/tolerated metadata, the
-      // right notion for "identical constraint synthesized twice".
-      if (program.statements[i] == program.statements[j]) {
-        lattice.duplicate_of[j] = i;
-        break;
-      }
+    // Statement equality ignores advisory support/tolerated metadata, the
+    // right notion for "identical constraint synthesized twice". The lowest
+    // twin is earlier exactly when j is not its class's first member.
+    const size_t twin = twins.FirstActiveTwin(j, {});
+    if (twin != StatementTwins::kNone && twin < j) {
+      lattice.duplicate_of[j] = twin;
     }
   }
   return lattice;

@@ -106,14 +106,34 @@ struct ImplicationProof {
   std::vector<size_t> impliers;
 };
 
+/// Statements grouped by `core::Statement::operator==` (advisory support and
+/// tolerated values aside), hashed once so finding a statement's twins costs
+/// its class size rather than a scan of the whole program.
+class StatementTwins {
+ public:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  explicit StatementTwins(const core::Program& program);
+
+  /// The lowest index k != j with active[k] (an empty vector means all
+  /// active) whose statement equals statement j, or kNone.
+  size_t FirstActiveTwin(size_t j, const std::vector<char>& active) const;
+
+ private:
+  std::vector<size_t> class_of_;              // Per statement.
+  std::vector<std::vector<size_t>> members_;  // Per class, ascending.
+};
+
 /// Sound implication test: true iff every row satisfying all active
 /// statements (excluding `j`) provably satisfies statement `j` — i.e. for
 /// every branch b of j, either b can never fire, or the closure of b's
 /// condition region under the others forces b.target = b.assignment, or that
 /// region is contradictory (already all-flagged). Rows where no branch of j
 /// fires never violate j, so this per-branch obligation is exhaustive.
+/// `twins` must be built over `program`.
 ImplicationProof StatementImpliedBy(const core::Program& program, size_t j,
-                                    const std::vector<char>& active);
+                                    const std::vector<char>& active,
+                                    const StatementTwins& twins);
 
 /// Per-attribute value sets mentioned by a program — the abstract domains the
 /// lattice is built over. `assigned` holds every value some branch can write

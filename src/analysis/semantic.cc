@@ -473,8 +473,9 @@ Result<MinimizationResult> MinimizeProgram(const core::Program& program,
   });
 
   std::vector<char> active(m, 1);
+  const StatementTwins twins(distinct);
   for (size_t j : candidates) {
-    ImplicationProof proof = StatementImpliedBy(distinct, j, active);
+    ImplicationProof proof = StatementImpliedBy(distinct, j, active, twins);
     if (!proof.implied) continue;
     active[j] = 0;
     res.dropped.push_back(consed.original_index[j]);
@@ -736,6 +737,7 @@ Status VerifyCertificate(const std::string& certificate_json,
   // which must still stand; a first occurrence's proof is the implication
   // engine over the other distinct statements still standing.
   std::vector<char> active(m, 1);
+  const StatementTwins twins(distinct);
   for (size_t j : dropped) {
     const size_t d = distinct_index[j];
     if (duplicate_of[j] != kFirstOccurrence) {
@@ -746,7 +748,7 @@ Status VerifyCertificate(const std::string& certificate_json,
       }
       continue;
     }
-    ImplicationProof proof = StatementImpliedBy(distinct, d, active);
+    ImplicationProof proof = StatementImpliedBy(distinct, d, active, twins);
     if (!proof.implied) {
       return Status::InvalidArgument(
           "certificate: drop of statement " + std::to_string(j) +

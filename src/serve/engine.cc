@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/failpoint.h"
@@ -78,16 +81,106 @@ void ValidateBlock(const RequestScan& scan, int64_t begin, int64_t count,
 
 }  // namespace
 
+/// One remembered response: its non-row fields as they were, its row count,
+/// and the rows that differ from RowResult{} packed back to back as
+/// (u32 index, u8 verdict, u16 violations, u32 size, detail bytes) in host
+/// byte order. Immutable once built, so Lookup reads it outside the lock.
+struct ResponseDedupWindow::Entry {
+  StatusCode code = StatusCode::kOk;
+  std::string error;
+  uint32_t retry_after_ms = 0;
+  uint64_t program_version = 0;
+  size_t num_rows = 0;
+  std::string packed_rows;
+
+  int64_t bytes() const {
+    return static_cast<int64_t>(sizeof(Entry) + error.size() +
+                                packed_rows.size());
+  }
+};
+
+namespace {
+
+constexpr size_t kPackedRowHeader =
+    sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint16_t) + sizeof(uint32_t);
+
+bool IsDefaultRow(const RowResult& row) { return row == RowResult{}; }
+
+template <typename T>
+char* Put(char* out, T value) {
+  std::memcpy(out, &value, sizeof(T));
+  return out + sizeof(T);
+}
+
+template <typename T>
+const char* Get(const char* in, T* value) {
+  std::memcpy(value, in, sizeof(T));
+  return in + sizeof(T);
+}
+
+std::string PackRows(const std::vector<RowResult>& rows) {
+  size_t bytes = 0;
+  for (const RowResult& row : rows) {
+    if (!IsDefaultRow(row)) bytes += kPackedRowHeader + row.detail.size();
+  }
+  std::string packed(bytes, '\0');
+  char* out = packed.data();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const RowResult& row = rows[r];
+    if (IsDefaultRow(row)) continue;
+    out = Put(out, static_cast<uint32_t>(r));
+    out = Put(out, static_cast<uint8_t>(row.verdict));
+    out = Put(out, row.violations);
+    out = Put(out, static_cast<uint32_t>(row.detail.size()));
+    std::memcpy(out, row.detail.data(), row.detail.size());
+    out += row.detail.size();
+  }
+  return packed;
+}
+
+void UnpackRows(const std::string& packed, size_t num_rows,
+                std::vector<RowResult>* rows) {
+  rows->clear();
+  rows->resize(num_rows);
+  const char* in = packed.data();
+  const char* const end = in + packed.size();
+  while (in < end) {
+    uint32_t index = 0;
+    uint8_t verdict = 0;
+    uint16_t violations = 0;
+    uint32_t size = 0;
+    in = Get(in, &index);
+    in = Get(in, &verdict);
+    in = Get(in, &violations);
+    in = Get(in, &size);
+    RowResult& row = (*rows)[index];
+    row.verdict = static_cast<RowVerdict>(verdict);
+    row.violations = violations;
+    row.detail.assign(in, size);
+    in += size;
+  }
+}
+
+}  // namespace
+
 bool ResponseDedupWindow::Lookup(uint64_t request_id, uint64_t live_version,
                                  ValidateResponse* out) const {
   if (request_id == 0 || capacity_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_id_.find(request_id);
-  if (it == by_id_.end()) return false;
-  // A hot reload superseded the program this entry's verdicts were computed
-  // against: miss, so the retry re-runs under the live version.
-  if (it->second.program_version != live_version) return false;
-  *out = it->second;
+  std::shared_ptr<const Entry> entry;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = by_id_.find(request_id);
+    if (it == by_id_.end()) return false;
+    // A hot reload superseded the program this entry's verdicts were
+    // computed against: miss, so the retry re-runs under the live version.
+    if (it->second->program_version != live_version) return false;
+    entry = it->second;
+  }
+  out->code = entry->code;
+  out->error = entry->error;
+  out->retry_after_ms = entry->retry_after_ms;
+  out->program_version = entry->program_version;
+  UnpackRows(entry->packed_rows, entry->num_rows, &out->rows);
   out->duplicate = true;
   return true;
 }
@@ -95,19 +188,32 @@ bool ResponseDedupWindow::Lookup(uint64_t request_id, uint64_t live_version,
 void ResponseDedupWindow::Remember(uint64_t request_id,
                                    const ValidateResponse& response) {
   if (request_id == 0 || capacity_ == 0) return;
+  auto entry = std::make_shared<Entry>();
+  entry->code = response.code;
+  entry->error = response.error;
+  entry->retry_after_ms = response.retry_after_ms;
+  entry->program_version = response.program_version;
+  entry->num_rows = response.rows.size();
+  entry->packed_rows = PackRows(response.rows);
+  // Declared before the lock so a displaced or evicted entry is freed after
+  // it is released.
+  std::shared_ptr<const Entry> dropped;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = by_id_.try_emplace(request_id, response);
+  auto [it, inserted] = by_id_.try_emplace(request_id, entry);
   if (!inserted) {
     // First answer wins within a program version; a recompute under a newer
     // version displaces the stale entry (its FIFO slot is unchanged).
-    if (it->second.program_version != response.program_version) {
-      it->second = response;
+    if (it->second->program_version != entry->program_version) {
+      dropped = std::exchange(it->second, std::move(entry));
     }
     return;
   }
   order_.push_back(request_id);
-  while (static_cast<int>(order_.size()) > capacity_) {
-    by_id_.erase(order_.front());
+  // One id in, so at most one out.
+  if (static_cast<int>(order_.size()) > capacity_) {
+    auto oldest = by_id_.find(order_.front());
+    dropped = std::move(oldest->second);
+    by_id_.erase(oldest);
     order_.pop_front();
   }
 }
@@ -117,20 +223,27 @@ int ResponseDedupWindow::size() const {
   return static_cast<int>(order_.size());
 }
 
+int64_t ResponseDedupWindow::bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  int64_t total = 0;
+  for (const auto& [id, entry] : by_id_) total += entry->bytes();
+  return total;
+}
+
 ValidateResponse ValidationEngine::Handle(const ValidateRequest& request,
                                           std::string_view rows) {
   GUARDRAIL_COUNTER_INC("serve.requests");
   // Retransmit of an already-answered id: replay the remembered bytes
   // before admission — a replay is free and must not be shed, or a retry
   // storm could starve the very retries it caused. The replay is scoped to
-  // the dataset's live program version (a cheap snapshot refcount bump): a
-  // retry spanning a hot reload recomputes instead of replaying verdicts
-  // from the superseded program.
+  // the dataset's live program version: a retry spanning a hot reload
+  // recomputes instead of replaying verdicts from the superseded program.
+  // The same snapshot pins the version a computed response is checked
+  // against, so each request takes the registry lock once.
   ValidateResponse response;
-  uint64_t live_version = 0;
-  if (auto snapshot = registry_->Get(request.dataset)) {
-    live_version = snapshot->version;
-  }
+  std::shared_ptr<const ProgramSnapshot> snapshot =
+      registry_->Get(request.dataset);
+  const uint64_t live_version = snapshot != nullptr ? snapshot->version : 0;
   if (dedup_.Lookup(request.request_id, live_version, &response)) {
     GUARDRAIL_COUNTER_INC("serve.dedup_hits");
     return response;
@@ -150,7 +263,7 @@ ValidateResponse ValidationEngine::Handle(const ValidateRequest& request,
     AdmissionController* admission;
     ~Release() { admission->Release(); }
   } release{&admission_};
-  response = HandleAdmitted(request, rows);
+  response = HandleAdmitted(request, rows, std::move(snapshot));
   // Only a processed batch is remembered: its verdicts (including any
   // coerce/rectify repairs) are now "applied" and must never be recomputed
   // for the same id. Errors stay forgettable so a real retry re-runs.
@@ -161,7 +274,8 @@ ValidateResponse ValidationEngine::Handle(const ValidateRequest& request,
 }
 
 ValidateResponse ValidationEngine::HandleAdmitted(
-    const ValidateRequest& request, std::string_view rows) {
+    const ValidateRequest& request, std::string_view rows,
+    std::shared_ptr<const ProgramSnapshot> snapshot) {
   ValidateResponse response;
   StopWatch watch;
   telemetry::Span span("serve.request");
@@ -185,8 +299,6 @@ ValidateResponse ValidationEngine::HandleAdmitted(
 
   // The snapshot pins this request's program version: a hot reload swapping
   // in a newer one mid-flight cannot change these verdicts.
-  std::shared_ptr<const ProgramSnapshot> snapshot =
-      registry_->Get(request.dataset);
   if (snapshot == nullptr) {
     return fail(Status::NotFound("unknown dataset '" + request.dataset + "'"));
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string_view>
 #include <unordered_map>
@@ -79,6 +80,12 @@ struct EngineOptions {
 /// replaying a superseded-program verdict (its repairs would be stale
 /// against the constraints now being enforced), and the re-run's response
 /// displaces the stale entry. Thread-safe.
+///
+/// An entry keeps only what a replay needs: the response's non-row fields,
+/// its row count, and the rows that differ from a default RowResult packed
+/// into one string (11 bytes plus the detail text per such row). Lookup
+/// rebuilds the dense rows, so a replay equals the original in every field
+/// but `duplicate`.
 class ResponseDedupWindow {
  public:
   explicit ResponseDedupWindow(int capacity)
@@ -97,11 +104,16 @@ class ResponseDedupWindow {
 
   int size() const;
   int capacity() const { return capacity_; }
+  /// Bytes the remembered entries hold: each entry's fixed fields, its
+  /// error text and its packed rows. Clean rows cost nothing.
+  int64_t bytes() const;
 
  private:
+  struct Entry;
+
   const int capacity_;
   mutable std::mutex mutex_;
-  std::unordered_map<uint64_t, ValidateResponse> by_id_;
+  std::unordered_map<uint64_t, std::shared_ptr<const Entry>> by_id_;
   std::deque<uint64_t> order_;  // Oldest first.
 };
 
@@ -141,8 +153,11 @@ class ValidationEngine {
   const ResponseDedupWindow& dedup() const { return dedup_; }
 
  private:
-  ValidateResponse HandleAdmitted(const ValidateRequest& request,
-                                  std::string_view rows);
+  /// `snapshot` is the dataset's program as Handle found it (nullptr for an
+  /// unknown dataset); every verdict of the request is computed against it.
+  ValidateResponse HandleAdmitted(
+      const ValidateRequest& request, std::string_view rows,
+      std::shared_ptr<const ProgramSnapshot> snapshot);
 
   ProgramRegistry* registry_;
   EngineOptions options_;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "analysis/checker.h"
+#include "analysis/implication.h"
 #include "analysis/passes/passes.h"
 #include "core/guard.h"
 #include "core/normalize.h"
@@ -701,6 +702,79 @@ TEST(GroupedAuditTest, PartialArityStatementKeepsPerBranchScans) {
                        d.branch_index == 2);
   }
   EXPECT_TRUE(shadow_reported) << report.ToText();
+}
+
+// ------------------------------------------------------ statement twins --
+
+// The lowest k != j (active, when `active` is non-empty) whose statement
+// equals statement j: the pairwise scan StatementTwins replaces.
+size_t PairwiseTwin(const core::Program& program, size_t j,
+                    const std::vector<char>& active) {
+  for (size_t k = 0; k < program.statements.size(); ++k) {
+    if (k == j || (!active.empty() && !active[k])) continue;
+    if (program.statements[k] == program.statements[j]) return k;
+  }
+  return StatementTwins::kNone;
+}
+
+// The lattice's duplicate links and duplicate proofs equal what the pairwise
+// scans give, and the twin index answers like the scan under random active
+// subsets. Returns how many statements have a twin.
+size_t ExpectLatticeMatchesPairwiseScan(const core::Program& program,
+                                        const std::string& what) {
+  const size_t n = program.statements.size();
+  const ImplicationLattice lattice = BuildImplicationLattice(program);
+  size_t with_twin = 0;
+  for (size_t j = 0; j < n; ++j) {
+    size_t earlier = ImplicationLattice::kNoDuplicate;
+    for (size_t i = 0; i < j; ++i) {
+      if (program.statements[i] == program.statements[j]) {
+        earlier = i;
+        break;
+      }
+    }
+    EXPECT_EQ(lattice.duplicate_of[j], earlier) << what << ": stmt " << j;
+    const size_t twin = PairwiseTwin(program, j, {});
+    if (twin == StatementTwins::kNone) continue;
+    ++with_twin;
+    EXPECT_TRUE(lattice.implied[j]) << what << ": stmt " << j;
+    EXPECT_EQ(lattice.proofs[j].impliers, std::vector<size_t>{twin})
+        << what << ": stmt " << j;
+  }
+  const StatementTwins twins(program);
+  Rng rng(n);
+  std::vector<char> active(n);
+  for (char& a : active) a = rng.NextUint64(4) != 0 ? 1 : 0;
+  for (size_t j = 0; j < n; ++j) {
+    EXPECT_EQ(twins.FirstActiveTwin(j, active),
+              PairwiseTwin(program, j, active))
+        << what << ": stmt " << j;
+  }
+  return with_twin;
+}
+
+TEST(StatementTwinsTest, LatticeMatchesPairwiseScanOnRawUnion) {
+  // Dataset 7's raw member-DAG union: thousands of statements, most of them
+  // copies of one another modulo advisory metadata.
+  const Table clean = DatasetRepository::Build(7, 1500).clean;
+  core::Synthesizer synth(core::SynthesisOptions{});
+  Rng rng(7);
+  const core::SynthesisReport report = synth.Synthesize(clean, &rng);
+  const core::Program& raw = report.ensemble_program;
+  ASSERT_GT(raw.statements.size(), 1000u);
+  EXPECT_GT(ExpectLatticeMatchesPairwiseScan(raw, "dataset 7 union"),
+            raw.statements.size() / 2);
+}
+
+TEST(StatementTwinsTest, LatticeMatchesPairwiseScanOnImplicationCorpus) {
+  const CleanSetup& s = ChainSetup();
+  std::vector<Mutant> mutants = SeedImplicationMutants(s.program, s.schema);
+  ASSERT_GE(mutants.size(), 15u);
+  size_t with_twin = 0;
+  for (const Mutant& mutant : mutants) {
+    with_twin += ExpectLatticeMatchesPairwiseScan(mutant.program, mutant.name);
+  }
+  EXPECT_GT(with_twin, 0u);  // The corpus holds duplicate mutants.
 }
 
 // ------------------------------------------------------------ golden JSON --

@@ -1784,6 +1784,192 @@ TEST(ServerWatchTest, ServesFromWatchedDirectoryAndHotReloads) {
   server.Drain();
 }
 
+// ---- Dedup window: compact entries replay exactly ------------------------
+
+// Every field of `got` equals `want`'s except `duplicate`.
+void ExpectSameResponse(const ValidateResponse& got,
+                        const ValidateResponse& want) {
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.retry_after_ms, want.retry_after_ms);
+  EXPECT_EQ(got.program_version, want.program_version);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (size_t r = 0; r < want.rows.size(); ++r) {
+    EXPECT_TRUE(got.rows[r] == want.rows[r]) << "row " << r;
+  }
+}
+
+TEST(DedupTest, ReplayRebuildsEveryKindOfRow) {
+  ValidateResponse mixed;
+  mixed.program_version = 3;
+  mixed.rows = {
+      RowResult{},
+      {RowVerdict::kViolation, 1, ""},
+      {RowVerdict::kViolation, 2, "94704,Berkeley"},
+      {RowVerdict::kViolation, 1, "\"a,b\",\"say \"\"hi\"\"\""},
+      RowResult{},
+      RowResult{},
+      {RowVerdict::kViolation, 3, "\"line one\nline two\",x"},
+      {RowVerdict::kFailed, 0, "Internal: injected fault 'serve.row'"},
+      {RowVerdict::kViolation, 0xFFFF, "clamped"},
+      {RowVerdict::kViolation, 1, std::string("nul\0inside", 10)},
+      RowResult{},
+  };
+  ValidateResponse empty;
+  empty.program_version = 1;
+  ValidateResponse with_error;
+  with_error.error = "kept verbatim";
+  with_error.retry_after_ms = 7;
+  with_error.program_version = 2;
+  with_error.rows = {{RowVerdict::kViolation, 1, "x"}, RowResult{}};
+  ValidateResponse all_clean;
+  all_clean.program_version = 1;
+  all_clean.rows.resize(300);
+  const std::vector<ValidateResponse> responses = {mixed, empty, with_error,
+                                                   all_clean};
+
+  ResponseDedupWindow window(8);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    window.Remember(i + 1, responses[i]);
+  }
+  // One `out` for every lookup: a replay must not keep rows of the last.
+  ValidateResponse out;
+  for (size_t i : {3, 0, 2, 1, 0}) {
+    SCOPED_TRACE(::testing::Message() << "response " << i);
+    ASSERT_TRUE(window.Lookup(i + 1, responses[i].program_version, &out));
+    EXPECT_TRUE(out.duplicate);
+    ExpectSameResponse(out, responses[i]);
+  }
+}
+
+TEST(DedupTest, RectifyReplayOfALargeBatchIsByteIdentical) {
+  ProgramRegistry registry;
+  LoadDemo(&registry);
+  ValidationEngine engine(&registry, EngineOptions{});
+
+  // Wrong cities, unseen (quoted, escaped) cities, unseen zips and clean
+  // rows.
+  std::string batch = "zip,city\n";
+  for (int i = 0; i < 8192; ++i) {
+    if (i % 7 == 0) {
+      batch += "94704,Oakland\n";
+    } else if (i % 11 == 0) {
+      batch += "94607,\"San \"\"F\"\", CA\"\n";
+    } else if (i % 13 == 0) {
+      batch += "10001,Berkeley\n";
+    } else {
+      batch += "94704,Berkeley\n";
+    }
+  }
+  ValidateRequest request = DemoRequest(batch, core::ErrorPolicy::kRectify);
+  request.request_id = 42;
+
+  const ValidateResponse first = engine.Handle(request);
+  ASSERT_EQ(first.code, StatusCode::kOk) << first.error;
+  EXPECT_FALSE(first.duplicate);
+  ASSERT_EQ(first.rows.size(), 8192u);
+  int repaired = 0;
+  for (const RowResult& row : first.rows) {
+    repaired += row.verdict == RowVerdict::kViolation && !row.detail.empty();
+  }
+  EXPECT_GT(repaired, 1000);
+
+  const ValidateResponse replay = engine.Handle(request);
+  EXPECT_TRUE(replay.duplicate);
+  ExpectSameResponse(replay, first);
+
+  // On the wire the two differ in the duplicate flag alone.
+  const std::string a = EncodeValidateResponse(first);
+  const std::string b = EncodeValidateResponse(replay);
+  ASSERT_EQ(a.size(), b.size());
+  std::vector<size_t> differ;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) differ.push_back(i);
+  }
+  ASSERT_EQ(differ.size(), 1u);
+  EXPECT_EQ(a[differ[0]], 0);
+  EXPECT_EQ(b[differ[0]], 1);
+}
+
+TEST(DedupTest, ConcurrentRememberAndLookupOnOverlappingIds) {
+  ResponseDedupWindow window(16);
+  // Each (id, version) has one response, so every replay can be checked.
+  auto response_for = [](uint64_t id, uint64_t version) {
+    ValidateResponse response;
+    response.program_version = version;
+    response.rows.resize(id % 5 + 1);
+    response.rows[id % response.rows.size()] = {
+        RowVerdict::kViolation, static_cast<uint16_t>(id),
+        "id " + std::to_string(id) + " v" + std::to_string(version)};
+    return response;
+  };
+  std::atomic<int> hits{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      ValidateResponse out;
+      auto check = [&](uint64_t id, uint64_t version) {
+        if (!window.Lookup(id, version, &out)) return;
+        ++hits;
+        const ValidateResponse want = response_for(id, version);
+        const bool same = out.duplicate && out.rows == want.rows &&
+                          out.program_version == version;
+        mismatches += same ? 0 : 1;
+      };
+      for (int i = 0; i < 1000; ++i) {
+        // Threads drift out of phase, so a newer version displaces entries
+        // another thread still looks up under the older one.
+        const uint64_t version = 1 + static_cast<uint64_t>(i / 250) % 2;
+        const uint64_t id = 1 + static_cast<uint64_t>(i * 7 + t * 3) % 40;
+        window.Remember(id, response_for(id, version));
+        check(id, version);
+        check(1 + static_cast<uint64_t>(i * 7 + (t + 1) * 3) % 40, version);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(window.size(), 16);
+}
+
+TEST(DedupTest, EntryBytesGrowOnlyWithFlaggedRows) {
+  ResponseDedupWindow window(4);
+  ValidateResponse empty;
+  empty.program_version = 1;
+  window.Remember(1, empty);
+  const int64_t entry = window.bytes();
+  EXPECT_GT(entry, 0);
+
+  // An all-clean batch costs what an empty one does.
+  ValidateResponse clean = empty;
+  clean.rows.resize(8192);
+  window.Remember(2, clean);
+  EXPECT_EQ(window.bytes(), 2 * entry);
+
+  // Each flagged row costs 11 bytes plus its detail text.
+  ValidateResponse flagged = clean;
+  int64_t k = 0;
+  int64_t details = 0;
+  for (size_t r = 0; r < flagged.rows.size(); r += 97) {
+    const bool failed = r % 3 == 0;
+    flagged.rows[r] = {failed ? RowVerdict::kFailed : RowVerdict::kViolation,
+                       static_cast<uint16_t>(failed ? 0 : 1),
+                       std::string(r % 13, 'x')};
+    ++k;
+    details += static_cast<int64_t>(r % 13);
+  }
+  window.Remember(3, flagged);
+  EXPECT_EQ(window.bytes(), 3 * entry + 11 * k + details);
+
+  // Eviction returns an entry's bytes: id 1 leaves when id 5 arrives.
+  window.Remember(4, empty);
+  window.Remember(5, empty);
+  EXPECT_EQ(window.size(), 4);
+  EXPECT_EQ(window.bytes(), 4 * entry + 11 * k + details);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace guardrail
