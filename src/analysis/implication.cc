@@ -5,6 +5,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "common/hash.h"
+
 namespace guardrail {
 namespace analysis {
 
@@ -152,10 +154,8 @@ namespace {
 
 /// FNV-1a over exactly the fields `core::Statement::operator==` compares.
 uint64_t StructureHash(const core::Statement& stmt) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](int64_t v) {
-    h = (h ^ static_cast<uint64_t>(v)) * 0x100000001b3ULL;
-  };
+  uint64_t h = kFnvOffset;
+  auto mix = [&h](int64_t v) { h = FnvMix(h, static_cast<uint64_t>(v)); };
   mix(stmt.dependent);
   mix(static_cast<int64_t>(stmt.determinants.size()));
   for (AttrIndex a : stmt.determinants) mix(a);

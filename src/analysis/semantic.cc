@@ -9,6 +9,7 @@
 
 #include "analysis/implication.h"
 #include "analysis/passes/passes.h"
+#include "common/hash.h"
 #include "core/interpreter.h"
 #include "core/parser.h"
 #include "core/printer.h"
@@ -23,17 +24,6 @@ namespace {
 // Shared helpers: hashing, the certificate's deterministic row sampler, and
 // canonical statement forms.
 // ---------------------------------------------------------------------------
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t Fnv1a(std::string_view bytes, uint64_t h = kFnvOffset) {
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::string HashHex(uint64_t h) {
   char buf[17];
@@ -160,9 +150,7 @@ bool IdenticalStatements(const core::Statement& a, const core::Statement& b) {
 
 uint64_t StatementIdentityHash(const core::Statement& stmt) {
   uint64_t h = kFnvOffset;
-  auto mix = [&h](int64_t v) {
-    h = (h ^ static_cast<uint64_t>(v)) * kFnvPrime;
-  };
+  auto mix = [&h](int64_t v) { h = FnvMix(h, static_cast<uint64_t>(v)); };
   mix(stmt.dependent);
   mix(static_cast<int64_t>(stmt.determinants.size()));
   for (AttrIndex a : stmt.determinants) mix(a);

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
+
 namespace guardrail {
 namespace baselines {
 
 uint64_t FdDetector::HashCombo(const Table& table, RowIndex row,
                                const std::vector<AttrIndex>& attrs,
                                bool* has_null) {
-  uint64_t key = 1469598103934665603ULL;
+  uint64_t key = kFnvShortOffset;
   *has_null = false;
   for (AttrIndex a : attrs) {
     ValueId v = table.Get(row, a);
@@ -16,8 +18,8 @@ uint64_t FdDetector::HashCombo(const Table& table, RowIndex row,
       *has_null = true;
       return 0;
     }
-    key = (key ^ static_cast<uint64_t>(v + 1)) * 1099511628211ULL;
-    key = (key ^ static_cast<uint64_t>(a + 1)) * 1099511628211ULL;
+    key = FnvMix(key, static_cast<uint64_t>(v + 1));
+    key = FnvMix(key, static_cast<uint64_t>(a + 1));
   }
   return key;
 }

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/telemetry/telemetry.h"
@@ -13,17 +14,6 @@
 namespace guardrail {
 
 namespace {
-
-// FNV-1a over the point name; folded into the seed so each point draws an
-// independent deterministic stream.
-uint64_t HashName(std::string_view name) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : name) {
-    h = (h ^ static_cast<uint64_t>(static_cast<unsigned char>(c))) *
-        1099511628211ULL;
-  }
-  return h;
-}
 
 Status MakeInjected(StatusCode code, std::string_view name) {
   std::string msg = "injected failure at failpoint '" + std::string(name) + "'";
@@ -84,7 +74,9 @@ void FailpointRegistry::Arm(std::string_view name, double probability,
   Impl::Armed armed;
   armed.probability = probability;
   armed.code = code;
-  armed.rng = Rng(seed ^ HashName(name));
+  // The point name's hash is folded into the seed so each point draws an
+  // independent deterministic stream.
+  armed.rng = Rng(seed ^ Fnv1a(name, kFnvShortOffset));
   impl_->points.insert_or_assign(std::string(name), std::move(armed));
   impl_->num_armed.store(static_cast<int32_t>(impl_->points.size()),
                          std::memory_order_release);

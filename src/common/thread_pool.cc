@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/string_util.h"
 #include "common/telemetry/metrics.h"
 
 namespace guardrail {
@@ -82,8 +83,10 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
 
 int ThreadPool::DefaultThreads() {
   if (const char* env = std::getenv("GUARDRAIL_THREADS")) {
-    int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
+    int64_t parsed = 0;
+    if (ParseInt64(env, &parsed) && parsed > 0 && parsed <= INT32_MAX) {
+      return static_cast<int>(parsed);
+    }
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "pgm/dag.h"
 #include "table/schema.h"
 #include "table/value.h"
@@ -33,13 +34,10 @@ struct StatementSketch {
 /// Usable as the Hash template argument of unordered containers.
 struct StatementSketchHash {
   size_t operator()(const StatementSketch& sketch) const {
-    uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](uint64_t v) {
-      h = (h ^ v) * 1099511628211ULL;
-    };
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(sketch.dependent)));
+    const auto dependent = static_cast<uint32_t>(sketch.dependent);
+    uint64_t h = FnvMix(kFnvShortOffset, dependent);
     for (AttrIndex a : sketch.determinants) {
-      mix(static_cast<uint64_t>(static_cast<uint32_t>(a)) + 1);
+      h = FnvMix(h, uint64_t{static_cast<uint32_t>(a)} + 1);
     }
     return static_cast<size_t>(h);
   }

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/telemetry/metrics.h"
 #include "common/thread_pool.h"
@@ -44,7 +45,7 @@ Status ScanRowsIntoGroups(const StatementSketch& sketch, const Table& data,
   for (RowIndex r = begin; r < end; ++r) {
     GUARDRAIL_RETURN_NOT_OK(deadline.Check("sketch fill"));
     bool has_null = false;
-    uint64_t key = overflow ? 1469598103934665603ULL : 0;
+    uint64_t key = overflow ? kFnvShortOffset : 0;
     for (size_t i = 0; i < sketch.determinants.size(); ++i) {
       ValueId v = data.Get(r, sketch.determinants[i]);
       if (v == kNullValue) {
@@ -53,7 +54,7 @@ Status ScanRowsIntoGroups(const StatementSketch& sketch, const Table& data,
       }
       combo[i] = v;
       if (overflow) {
-        key = (key ^ static_cast<uint64_t>(v + 1)) * 1099511628211ULL;
+        key = FnvMix(key, static_cast<uint64_t>(v + 1));
       } else {
         key = key * radices[i] + static_cast<uint64_t>(v);
       }

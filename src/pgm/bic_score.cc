@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace guardrail {
@@ -42,7 +43,7 @@ double BicScorer::FamilyScore(int32_t v,
   for (int64_t r = 0; r < data_->num_rows; ++r) {
     ValueId value = col_v[static_cast<size_t>(r)];
     if (value == kNullValue) continue;
-    uint64_t config_key = 1469598103934665603ULL;
+    uint64_t config_key = kFnvShortOffset;
     bool has_null = false;
     for (int32_t p : parents) {
       ValueId pv = data_->columns[static_cast<size_t>(p)][static_cast<size_t>(r)];
@@ -50,8 +51,7 @@ double BicScorer::FamilyScore(int32_t v,
         has_null = true;
         break;
       }
-      config_key = (config_key ^ static_cast<uint64_t>(pv + 1)) *
-                   1099511628211ULL;
+      config_key = FnvMix(config_key, static_cast<uint64_t>(pv + 1));
     }
     if (has_null) continue;
     Config& config = configs[config_key];

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/telemetry/telemetry.h"
 
 namespace guardrail {
@@ -47,16 +48,16 @@ Result<std::vector<Endpoint>> ParseEndpoints(const std::string& spec) {
     Endpoint ep;
     ep.host = item.substr(0, colon);
     if (ep.host.empty()) ep.host = "127.0.0.1";
-    try {
-      ep.port = std::stoi(item.substr(colon + 1));
-    } catch (...) {
+    int64_t port = 0;
+    if (!ParseInt64(std::string_view(item).substr(colon + 1), &port)) {
       return Status::InvalidArgument("endpoint '" + item +
                                      "' has a non-numeric port");
     }
-    if (ep.port <= 0 || ep.port > 65535) {
+    if (port <= 0 || port > 65535) {
       return Status::InvalidArgument("endpoint '" + item +
                                      "' port out of range");
     }
+    ep.port = static_cast<int>(port);
     endpoints.push_back(std::move(ep));
   }
   if (endpoints.empty()) {

@@ -9,6 +9,7 @@
 #include "analysis/checker.h"
 #include "analysis/semantic.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/telemetry/telemetry.h"
 #include "core/serialization.h"
 #include "table/table.h"
@@ -34,15 +35,6 @@ int64_t NowUnixMicros() {
 
 }  // namespace
 
-uint64_t HashBytes(std::string_view bytes, uint64_t seed) {
-  uint64_t h = seed;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 Result<uint64_t> ProgramRegistry::LoadFromText(
     const std::string& dataset, const std::string& program_text,
     const Schema& base_schema, const std::string& source_path,
@@ -55,12 +47,12 @@ Result<uint64_t> ProgramRegistry::LoadFromText(
   snapshot->dataset = dataset;
   snapshot->schema = base_schema;
   snapshot->source_path = source_path;
-  snapshot->source_hash = HashBytes(program_text);
+  snapshot->source_hash = Fnv1a(program_text);
   if (!certificate_text.empty()) {
     // The certificate is part of the published identity: editing only the
     // certificate must look like a new source to the reload change check.
     snapshot->source_hash =
-        HashBytes(certificate_text, snapshot->source_hash);
+        Fnv1a(certificate_text, snapshot->source_hash);
   }
   GUARDRAIL_ASSIGN_OR_RETURN(
       snapshot->program,
@@ -215,7 +207,7 @@ Result<int> ProgramRegistry::PollDirectory(const std::string& dir) {
     }
 
     uint64_t combined =
-        HashBytes(cert_text, HashBytes(csv_text, HashBytes(*program_text)));
+        Fnv1a(cert_text, Fnv1a(csv_text, Fnv1a(*program_text)));
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto seen = attempted_hash_.find(dataset);

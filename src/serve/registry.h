@@ -134,9 +134,6 @@ class ProgramRegistry {
   int64_t versions_published_ = 0;
 };
 
-/// FNV-1a 64-bit content hash used for reload change detection.
-uint64_t HashBytes(std::string_view bytes, uint64_t seed = 0xcbf29ce484222325ULL);
-
 }  // namespace serve
 }  // namespace guardrail
 

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/telemetry/telemetry.h"
 #include "sql/parser.h"
@@ -98,11 +99,7 @@ std::string CanonicalQueryText(const SelectStatement& stmt) {
 
 std::string QueryFingerprint(const SelectStatement& stmt) {
   // FNV-1a 64 over the canonical text, rendered as fixed-width hex.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : CanonicalQueryText(stmt)) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
+  const uint64_t h = Fnv1a(CanonicalQueryText(stmt));
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));

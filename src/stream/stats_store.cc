@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace guardrail {
@@ -136,10 +137,8 @@ const StatsStore::PairTable& StatsStore::pair(AttrIndex x, AttrIndex y) const {
 }
 
 uint64_t StatsStore::ContentHash() const {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    h = (h ^ v) * 1099511628211ULL;
-  };
+  uint64_t h = kFnvOffset;
+  auto mix = [&h](uint64_t v) { h = FnvMix(h, v); };
   mix(static_cast<uint64_t>(num_attributes_));
   mix(static_cast<uint64_t>(num_rows_));
   for (const auto& marginal : marginals_) {

@@ -24,6 +24,7 @@
 #include "ml/model.h"
 #include "serve/engine.h"
 #include "serve/registry.h"
+#include "serve_oracle.h"
 #include "sql/executor.h"
 #include "table/column_batch.h"
 #include "table/dataset_repository.h"
@@ -391,23 +392,15 @@ TEST(BatchEvalTest, ServeEngineBatchMatchesScalar) {
       ASSERT_EQ(response.rows.size(), decoded->size());
       for (size_t r = 0; r < decoded->size(); ++r) {
         const Row& row = (*decoded)[r];
-        serve::RowResult want;
-        const size_t violations = oracle.interpreter().Check(row).size();
-        if (violations > 0) {
-          want.verdict = serve::RowVerdict::kViolation;
-          want.violations = static_cast<uint16_t>(violations);
-        }
+        auto expected = serve::OfflineRowResult(oracle, schema, row, scheme);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        const serve::RowResult& want = *expected;
+        // Raise refuses exactly the violating rows; ignore keeps them as is.
         Result<Row> processed = oracle.ProcessRow(row, scheme);
-        ASSERT_EQ(processed.ok(),
-                  scheme != ErrorPolicy::kRaise || violations == 0);
-        if (processed.ok() && !(*processed == row)) {
-          std::vector<std::string> fields;
-          for (AttrIndex c = 0; c < schema.num_attributes(); ++c) {
-            ValueId v = (*processed)[static_cast<size_t>(c)];
-            fields.push_back(v == kNullValue ? ""
-                                             : schema.attribute(c).label(v));
-          }
-          want.detail = WriteCsvRecord(fields);
+        ASSERT_EQ(processed.ok(), scheme != ErrorPolicy::kRaise ||
+                                      want.verdict == serve::RowVerdict::kOk);
+        if (scheme == ErrorPolicy::kIgnore) {
+          EXPECT_TRUE(*processed == row);
         }
         const serve::RowResult& got = response.rows[r];
         EXPECT_TRUE(got == want)

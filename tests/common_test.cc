@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/csv.h"
+#include "common/hash.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -181,6 +182,17 @@ TEST(RngTest, ForkDecorrelates) {
   int same = 0;
   for (int i = 0; i < 100; ++i) same += a.NextUint64() == b.NextUint64();
   EXPECT_LT(same, 5);
+}
+
+// ------------------------------------------------------------------ hash --
+
+TEST(HashTest, Fnv1aMatchesStandardVectors) {
+  EXPECT_EQ(Fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a("foobar"), 0x85944171f73967e8ULL);
+  // Chaining hashes the concatenation; a byte-sized word mixes like a byte.
+  EXPECT_EQ(Fnv1a("bar", Fnv1a("foo")), Fnv1a("foobar"));
+  EXPECT_EQ(FnvMix(kFnvOffset, 'a'), Fnv1a("a"));
 }
 
 // ---------------------------------------------------------- string utils --

@@ -10,7 +10,6 @@
 #include "ml/naive_bayes.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
-#include "sql/materialized_view.h"
 #include "sql/planner.h"
 #include "table/sem_generator.h"
 
@@ -372,79 +371,6 @@ TEST(MapRectifyTest, RepairsDeterminantWhenSiblingSupportWins) {
   ASSERT_TRUE(repaired.ok());
   EXPECT_EQ((*repaired)[0], 1);  // Determinant repaired.
   EXPECT_EQ((*repaired)[1], 1);  // Dependent untouched.
-}
-
-// ------------------------------------------------- materialized views ----
-
-class MaterializedViewTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Schema orders_schema({Attribute("order_id"), Attribute("zip")});
-    orders_ = Table(std::move(orders_schema));
-    orders_.AppendRowLabels({"o1", "94704"});
-    orders_.AppendRowLabels({"o2", "94607"});
-    orders_.AppendRowLabels({"o3", "99999"});  // No matching city.
-    orders_.AppendRowLabels({"o4", "94704"});
-
-    Schema cities_schema({Attribute("zip"), Attribute("city")});
-    cities_ = Table(std::move(cities_schema));
-    cities_.AppendRowLabels({"94704", "Berkeley"});
-    cities_.AppendRowLabels({"94607", "Oakland"});
-  }
-  Table orders_;
-  Table cities_;
-};
-
-TEST_F(MaterializedViewTest, InnerJoinDropsUnmatched) {
-  auto view = sql::MaterializeJoin(orders_, "zip", cities_, "zip");
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view->num_rows(), 3);
-  EXPECT_EQ(view->num_columns(), 3);  // order_id, zip, city.
-  EXPECT_EQ(view->schema().AttributeNames(),
-            (std::vector<std::string>{"order_id", "zip", "city"}));
-  EXPECT_EQ(view->GetLabel(0, 2), "Berkeley");
-  EXPECT_EQ(view->GetLabel(1, 2), "Oakland");
-  EXPECT_EQ(view->GetLabel(2, 0), "o4");
-}
-
-TEST_F(MaterializedViewTest, LeftOuterKeepsUnmatchedWithNulls) {
-  sql::JoinOptions options;
-  options.left_outer = true;
-  auto view = sql::MaterializeJoin(orders_, "zip", cities_, "zip", options);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->num_rows(), 4);
-  EXPECT_EQ(view->GetLabel(2, 0), "o3");
-  EXPECT_EQ(view->Get(2, 2), kNullValue);
-}
-
-TEST_F(MaterializedViewTest, CollidingColumnsGetPrefixed) {
-  Schema extra_schema({Attribute("zip"), Attribute("order_id")});
-  Table extra(std::move(extra_schema));
-  extra.AppendRowLabels({"94704", "xcreated"});
-  auto view = sql::MaterializeJoin(orders_, "zip", extra, "zip");
-  ASSERT_TRUE(view.ok());
-  EXPECT_GE(view->schema().FindAttribute("right_order_id"), 0);
-}
-
-TEST_F(MaterializedViewTest, RejectsDuplicateRightKeysAndMissingColumns) {
-  Table dup = cities_;
-  dup.AppendRowLabels({"94704", "Albany"});
-  EXPECT_FALSE(sql::MaterializeJoin(orders_, "zip", dup, "zip").ok());
-  EXPECT_FALSE(sql::MaterializeJoin(orders_, "nope", cities_, "zip").ok());
-  EXPECT_FALSE(sql::MaterializeJoin(orders_, "zip", cities_, "nope").ok());
-}
-
-TEST_F(MaterializedViewTest, ViewIsQueryable) {
-  auto view = sql::MaterializeJoin(orders_, "zip", cities_, "zip");
-  ASSERT_TRUE(view.ok());
-  sql::Executor executor;
-  executor.RegisterTable("v", &*view);
-  auto result = executor.Execute(
-      "SELECT city, COUNT(*) AS n FROM v GROUP BY city ORDER BY n DESC");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->rows.size(), 2u);
-  EXPECT_EQ(result->rows[0][0].string(), "Berkeley");
-  EXPECT_DOUBLE_EQ(result->rows[0][1].number(), 2.0);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/csv.h"
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "core/guard.h"
 #include "serve/client.h"
 #include "serve/engine.h"
@@ -15,12 +19,14 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "serve_oracle.h"
 #include "table/table.h"
 
 // Resilient-fleet suite (docs/SERVING.md, "Resilience"): the ReplicaPool's
 // failover / circuit breakers / hedging, the exactly-once dedup window, the
-// Health frames, and the chaos soak — nodes killed and restarted mid-stream
-// while every collected verdict stays byte-identical to the offline Guard.
+// Health frames, and the chaos soaks — nodes killed and restarted mid-stream,
+// sequentially and under concurrent streaming workers, while every collected
+// verdict stays byte-identical to the offline Guard.
 
 namespace guardrail {
 namespace serve {
@@ -51,13 +57,15 @@ const char* kBatch =
     "94607,\n"
     "94607,Fresno\n";
 
-Schema DemoSchema() {
-  auto doc = ParseCsv(kCsv);
+Schema SeedSchema(const std::string& csv) {
+  auto doc = ParseCsv(csv);
   EXPECT_TRUE(doc.ok());
   auto table = Table::FromCsv(*doc);
   EXPECT_TRUE(table.ok());
   return table->schema();
 }
+
+Schema DemoSchema() { return SeedSchema(kCsv); }
 
 ValidateRequest BatchRequest(core::ErrorPolicy scheme) {
   ValidateRequest request;
@@ -68,54 +76,25 @@ ValidateRequest BatchRequest(core::ErrorPolicy scheme) {
   return request;
 }
 
-/// The single offline Guard pass the fleet's verdicts must match byte for
-/// byte: an independent re-derivation (not a call into the engine) of the
-/// expected RowResults for kBatch under `scheme`.
-std::vector<RowResult> OfflineGuardPass(const ProgramRegistry& registry,
-                                        core::ErrorPolicy scheme) {
+/// The offline Guard pass the fleet's verdicts for kBatch must match byte
+/// for byte.
+std::vector<RowResult> ExpectedBatch(const ProgramRegistry& registry,
+                                     core::ErrorPolicy scheme) {
   auto snapshot = registry.Get("demo");
   EXPECT_NE(snapshot, nullptr);
   Schema schema = snapshot->schema;
-  auto doc = ParseCsv(kBatch);
-  EXPECT_TRUE(doc.ok());
   core::Guard guard(&snapshot->program);
-  std::vector<RowResult> expected;
-  for (const auto& record : doc->rows) {
-    Row row(2, kNullValue);
-    for (AttrIndex c = 0; c < 2; ++c) {
-      row[static_cast<size_t>(c)] =
-          schema.attribute(c).GetOrInsert(record[static_cast<size_t>(c)]);
-    }
-    RowResult out;
-    auto checked = guard.interpreter().CheckedCheck(row);
-    EXPECT_TRUE(checked.ok());
-    if (!checked->empty()) {
-      out.verdict = RowVerdict::kViolation;
-      out.violations = static_cast<uint16_t>(checked->size());
-      if (scheme == core::ErrorPolicy::kCoerce ||
-          scheme == core::ErrorPolicy::kRectify) {
-        auto repaired = guard.ProcessRow(row, scheme);
-        EXPECT_TRUE(repaired.ok());
-        if (!(*repaired == row)) {
-          std::vector<std::string> fields;
-          for (AttrIndex c = 0; c < 2; ++c) {
-            ValueId v = (*repaired)[static_cast<size_t>(c)];
-            fields.push_back(v == kNullValue ? ""
-                                             : schema.attribute(c).label(v));
-          }
-          out.detail = WriteCsvRecord(fields);
-        }
-      }
-    }
-    expected.push_back(std::move(out));
-  }
-  return expected;
+  auto expected = OfflineGuardPass(guard, &schema, kBatch, scheme);
+  EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+  return expected.ok() ? *std::move(expected) : std::vector<RowResult>{};
 }
 
 /// One in-process replica: registry + engine survive a Kill/Restart cycle
 /// (a warm node restart — the OS would hand a cold restart an empty dedup
 /// window, which is also safe: re-running a kOk batch is deterministic).
 struct Node {
+  std::string seed_csv = kCsv;
+  std::string program_text = kProgramText;
   ProgramRegistry registry;
   std::unique_ptr<ValidationEngine> engine;
   std::unique_ptr<Server> server;
@@ -123,7 +102,8 @@ struct Node {
 
   Status Start(int port_hint = 0) {
     if (engine == nullptr) {
-      auto version = registry.LoadFromText("demo", kProgramText, DemoSchema());
+      auto version =
+          registry.LoadFromText("demo", program_text, SeedSchema(seed_csv));
       if (!version.ok()) return version.status();
       engine = std::make_unique<ValidationEngine>(&registry, EngineOptions{});
     }
@@ -177,6 +157,12 @@ TEST(EndpointParseTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseEndpoints("host:notaport").ok());
   EXPECT_FALSE(ParseEndpoints("host:70000").ok());
   EXPECT_FALSE(ParseEndpoints("host:").ok());
+  // Trailing garbage and fractions are refused, not truncated to a port.
+  EXPECT_FALSE(ParseEndpoints("h:80x").ok());
+  EXPECT_FALSE(ParseEndpoints("h:7001.5").ok());
+  auto huge = ParseEndpoints("h:99999999999");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().ToString().find("out of range"), std::string::npos);
 }
 
 // ---- Health frames ------------------------------------------------------
@@ -387,7 +373,7 @@ TEST(ReplicaPoolTest, FailsOverToSurvivingReplica) {
   a.Kill();  // Node a is gone for good.
 
   ReplicaPool pool(endpoints, ChaosPoolOptions());
-  auto expected = OfflineGuardPass(b.registry, core::ErrorPolicy::kRectify);
+  auto expected = ExpectedBatch(b.registry, core::ErrorPolicy::kRectify);
   auto response = pool.Validate(BatchRequest(core::ErrorPolicy::kRectify));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_EQ(response->code, StatusCode::kOk) << response->error;
@@ -436,7 +422,7 @@ TEST(ReplicaPoolTest, HedgedRequestAnswersOnce) {
   options.hedge_ms = 1;  // Hedge aggressively; dedup absorbs the duplicate.
   ReplicaPool pool({{"127.0.0.1", a.port}, {"127.0.0.1", b.port}}, options);
 
-  auto expected = OfflineGuardPass(a.registry, core::ErrorPolicy::kRectify);
+  auto expected = ExpectedBatch(a.registry, core::ErrorPolicy::kRectify);
   for (int i = 0; i < 5; ++i) {
     auto response = pool.Validate(BatchRequest(core::ErrorPolicy::kRectify));
     ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -476,8 +462,7 @@ TEST(FleetChaosTest, SoakVerdictsMatchOfflineGuardUnderKillRestart) {
     endpoints.push_back({"127.0.0.1", node.port});
   }
 
-  auto expected =
-      OfflineGuardPass(nodes[0].registry, core::ErrorPolicy::kRectify);
+  auto expected = ExpectedBatch(nodes[0].registry, core::ErrorPolicy::kRectify);
 
   ReplicaPool pool(endpoints, ChaosPoolOptions());
   // Cut ~1 in 4 connections after the request is read, before the response
@@ -507,6 +492,149 @@ TEST(FleetChaosTest, SoakVerdictsMatchOfflineGuardUnderKillRestart) {
     ++completed;
   }
   EXPECT_EQ(completed, kBatches);  // No lost batch, each answered once.
+}
+
+// ---- The concurrent soak ------------------------------------------------
+
+// zip 940NN determines city_NN, for kSoakZips zips.
+constexpr int kSoakZips = 20;
+
+std::string SoakZip(int i) { return "9" + std::to_string(4000 + i); }
+std::string SoakCity(int i) { return "city_" + std::to_string(i); }
+
+std::string SoakSeedCsv() {
+  std::string csv = "zip,city\n";
+  for (int i = 0; i < kSoakZips; ++i) {
+    csv += SoakZip(i) + "," + SoakCity(i) + "\n";
+  }
+  return csv;
+}
+
+std::string SoakProgramText() {
+  std::string text = "# guardrail-program v1\nGIVEN zip ON city HAVING\n";
+  for (int i = 0; i < kSoakZips; ++i) {
+    text += "  IF zip = '" + SoakZip(i) + "' THEN city <- '" + SoakCity(i) +
+            "';\n";
+  }
+  return text;
+}
+
+// A batch with ~2% corrupted city labels, so rectification really fires.
+std::string SoakBatch(Rng* rng, int rows) {
+  std::string payload = "zip,city\n";
+  for (int r = 0; r < rows; ++r) {
+    int zip = static_cast<int>(rng->NextUint64(kSoakZips));
+    int city = zip;
+    if (rng->NextBernoulli(0.02)) {
+      city = (zip + 1 + static_cast<int>(rng->NextUint64(kSoakZips - 1))) %
+             kSoakZips;
+    }
+    payload += SoakZip(zip) + "," + SoakCity(city) + "\n";
+  }
+  return payload;
+}
+
+// Three workers stream seeded rectify batches through one pool with active
+// health probing, while the main thread kills and restarts the nodes
+// round-robin and ~15% of connections drop mid-request. The run is bounded
+// by batch count: each worker streams its quota and keeps going until the
+// last restart is done, so every kill lands under traffic. Every batch must
+// come back, with rows byte-identical to the offline Guard.
+TEST(FleetChaosTest, ConcurrentSoakMatchesOfflineGuardUnderKillRestart) {
+  constexpr int kWorkers = 3;
+  constexpr int kBatchesPerWorker = 100;
+  constexpr int kRowsPerBatch = 64;
+  constexpr int kKills = 9;  // Three rounds over the three nodes.
+
+  Node nodes[3];
+  for (Node& node : nodes) {
+    node.seed_csv = SoakSeedCsv();
+    node.program_text = SoakProgramText();
+    ASSERT_TRUE(node.Start().ok());
+  }
+  std::vector<Endpoint> endpoints;
+  for (Node& node : nodes) endpoints.push_back({"127.0.0.1", node.port});
+  PoolOptions options = ChaosPoolOptions();
+  options.health_probe_interval_ms = 200;
+  ReplicaPool pool(endpoints, options);
+  ScopedFailpoint chaos("serve.connection_drop", 0.15, StatusCode::kIoError,
+                        /*seed=*/0xC405);
+
+  std::atomic<int64_t> batches_ok{0};
+  std::atomic<int64_t> batches_failed{0};
+  std::atomic<int64_t> mismatched_rows{0};
+  std::atomic<int64_t> repaired_rows{0};
+  std::atomic<bool> kills_done{false};
+  std::mutex failure_mu;
+  std::string first_failure;
+  auto note_failure = [&](const std::string& what) {
+    std::lock_guard<std::mutex> lock(failure_mu);
+    if (first_failure.empty()) first_failure = what;
+  };
+
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(0x50AC5EEDULL + static_cast<uint64_t>(w));
+      auto snapshot = nodes[0].registry.Get("demo");
+      Schema schema = snapshot->schema;
+      core::Guard guard(&snapshot->program);
+      for (int b = 0; b < kBatchesPerWorker || !kills_done.load(); ++b) {
+        const std::string where =
+            "worker " + std::to_string(w) + " batch " + std::to_string(b);
+        ValidateRequest request;
+        request.dataset = "demo";
+        request.scheme = core::ErrorPolicy::kRectify;
+        request.payload = SoakBatch(&rng, kRowsPerBatch);
+        auto expected =
+            OfflineGuardPass(guard, &schema, request.payload, request.scheme);
+        auto response = pool.Validate(request);
+        if (!expected.ok() || !response.ok() ||
+            response->code != StatusCode::kOk ||
+            response->rows.size() != expected->size()) {
+          batches_failed.fetch_add(1);
+          note_failure(where + ": " +
+                       (!expected.ok()   ? expected.status().ToString()
+                        : !response.ok() ? response.status().ToString()
+                                         : response->error));
+          continue;
+        }
+        for (size_t r = 0; r < expected->size(); ++r) {
+          if (!(response->rows[r] == (*expected)[r])) {
+            mismatched_rows.fetch_add(1);
+            note_failure(where + " row " + std::to_string(r) + ": got '" +
+                         response->rows[r].detail + "', want '" +
+                         (*expected)[r].detail + "'");
+          }
+          if (!response->rows[r].detail.empty()) repaired_rows.fetch_add(1);
+        }
+        batches_ok.fetch_add(1);
+      }
+    });
+  }
+
+  // Spread the restarts over the quotas: restart k waits until
+  // (k + 1) / (kKills + 1) of the quota batches have come back.
+  int kills = 0;
+  Status restarted;
+  for (int k = 0; k < kKills && restarted.ok(); ++k) {
+    const int64_t due =
+        int64_t{k + 1} * kWorkers * kBatchesPerWorker / (kKills + 1);
+    while (batches_ok.load() + batches_failed.load() < due) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    restarted = nodes[k % 3].Restart();
+    if (restarted.ok()) ++kills;
+  }
+  kills_done.store(true);
+  for (std::thread& worker : workers) worker.join();
+
+  EXPECT_TRUE(restarted.ok()) << restarted.ToString();
+  EXPECT_EQ(kills, kKills);
+  EXPECT_EQ(batches_failed.load(), 0) << first_failure;
+  EXPECT_GE(batches_ok.load(), kWorkers * kBatchesPerWorker);
+  EXPECT_EQ(mismatched_rows.load(), 0) << first_failure;
+  EXPECT_GT(repaired_rows.load(), 0);
 }
 
 }  // namespace

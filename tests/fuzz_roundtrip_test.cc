@@ -7,14 +7,11 @@
 
 #include <string>
 
-#include "baselines/scoded.h"
 #include "common/rng.h"
 #include "core/interpreter.h"
 #include "core/parser.h"
 #include "core/printer.h"
 #include "sql/parser.h"
-#include "table/error_injector.h"
-#include "table/sem_generator.h"
 
 namespace guardrail {
 namespace {
@@ -205,65 +202,6 @@ TEST(FuzzSqlRoundTrip, ExpressionsSurviveUnparseReparse) {
     // The canonical text is a fixpoint.
     EXPECT_EQ((*reparsed)->ToString(), text) << trial;
   }
-}
-
-// --------------------------------------------------------------- SCODED --
-
-TEST(ScodedTest, RanksCorruptedRowsHighest) {
-  std::vector<SemNode> nodes(3);
-  nodes[0] = {"a", 5, {}, 0.0};
-  nodes[1] = {"b", 5, {0}, 0.01};
-  nodes[2] = {"free", 4, {}, 0.0};
-  SemModel sem(std::move(nodes), 401);
-  Rng rng(402);
-  Table train = sem.Sample(3000, &rng);
-  Table test = sem.Sample(600, &rng);
-
-  baselines::Scoded::Options options;
-  options.top_k = 25;
-  baselines::Scoded scoded(options);
-  scoded.Fit(train, {baselines::Fd{{0}, 1, 0.0}});
-  ASSERT_EQ(scoded.num_fitted_constraints(), 1);
-
-  ErrorInjectionOptions injection;
-  injection.mode = CorruptionMode::kDomainSwap;
-  injection.protected_columns = {0, 2};  // Corrupt only the dependent.
-  ErrorInjectionResult injected = InjectErrors(test, injection, &rng);
-
-  auto flags = scoded.DetectTopK(injected.dirty);
-  int64_t tp = 0, flagged = 0;
-  for (size_t i = 0; i < flags.size(); ++i) {
-    flagged += flags[i] ? 1 : 0;
-    tp += (flags[i] && injected.row_has_error[i]) ? 1 : 0;
-  }
-  EXPECT_GT(flagged, 0);
-  // Precision of the top-k should be high: corrupted dependents are the
-  // most surprising rows under P(b | a).
-  EXPECT_GT(static_cast<double>(tp) / static_cast<double>(flagged), 0.7);
-}
-
-TEST(ScodedTest, CleanRowsScoreNearZero) {
-  std::vector<SemNode> nodes(2);
-  nodes[0] = {"a", 4, {}, 0.0};
-  nodes[1] = {"b", 4, {0}, 0.0};
-  SemModel sem(std::move(nodes), 403);
-  Rng rng(404);
-  Table train = sem.Sample(2000, &rng);
-  Table test = sem.Sample(300, &rng);
-  baselines::Scoded scoded({});
-  scoded.Fit(train, {baselines::Fd{{0}, 1, 0.0}});
-  auto scores = scoded.ScoreRows(test);
-  for (double s : scores) EXPECT_NEAR(s, 0.0, 1e-9);
-}
-
-TEST(ScodedTest, IgnoresWideDeterminantConstraints) {
-  Schema schema({Attribute("a"), Attribute("b"), Attribute("c")});
-  Table t(std::move(schema));
-  t.AppendRowLabels({"x", "y", "z"});
-  t.AppendRowLabels({"x", "y", "w"});
-  baselines::Scoded scoded({});
-  scoded.Fit(t, {baselines::Fd{{0, 1}, 2, 0.0}});
-  EXPECT_EQ(scoded.num_fitted_constraints(), 0);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "serve_oracle.h"
 #include "table/table.h"
 
 // Serving-layer suite (docs/SERVING.md): wire protocol round trips and
@@ -534,44 +535,18 @@ TEST(EngineParityTest, VerdictsMatchOfflineGuardForAllSchemes) {
     // Offline reference: same schema extension path as the engine.
     auto snapshot = registry.Get("demo");
     Schema offline_schema = snapshot->schema;
-    auto doc = ParseCsv(batch);
-    ASSERT_TRUE(doc.ok());
     core::Guard guard(&snapshot->program);
-    for (size_t r = 0; r < doc->rows.size(); ++r) {
-      Row row(2, kNullValue);
-      for (AttrIndex c = 0; c < 2; ++c) {
-        row[static_cast<size_t>(c)] = offline_schema.attribute(c).GetOrInsert(
-            doc->rows[r][static_cast<size_t>(c)]);
-      }
-      auto checked = guard.interpreter().CheckedCheck(row);
-      ASSERT_TRUE(checked.ok());
+    auto expected = OfflineGuardPass(guard, &offline_schema, batch, scheme);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_EQ(expected->size(), 5u);
+    for (size_t r = 0; r < expected->size(); ++r) {
       const RowResult& got = response.rows[r];
-      if (checked->empty()) {
-        EXPECT_EQ(got.verdict, RowVerdict::kOk) << "row " << r;
-        EXPECT_TRUE(got.detail.empty());
-        continue;
-      }
-      EXPECT_EQ(got.verdict, RowVerdict::kViolation) << "row " << r;
-      EXPECT_EQ(got.violations, checked->size());
-      if (scheme == core::ErrorPolicy::kRaise ||
-          scheme == core::ErrorPolicy::kIgnore) {
-        EXPECT_TRUE(got.detail.empty());
-      } else {
-        auto repaired = guard.ProcessRow(row, scheme);
-        ASSERT_TRUE(repaired.ok());
-        std::string expected;
-        if (!(*repaired == row)) {
-          std::vector<std::string> fields;
-          for (AttrIndex c = 0; c < 2; ++c) {
-            ValueId v = (*repaired)[static_cast<size_t>(c)];
-            fields.push_back(
-                v == kNullValue ? "" : offline_schema.attribute(c).label(v));
-          }
-          expected = WriteCsvRecord(fields);
-        }
-        EXPECT_EQ(got.detail, expected)
-            << "row " << r << " scheme " << core::ErrorPolicyName(scheme);
-      }
+      const RowResult& want = (*expected)[r];
+      EXPECT_TRUE(got == want)
+          << "row " << r << " scheme " << core::ErrorPolicyName(scheme)
+          << ": got {" << int(got.verdict) << ", " << got.violations << ", '"
+          << got.detail << "'} want {" << int(want.verdict) << ", "
+          << want.violations << ", '" << want.detail << "'}";
     }
   }
 }
@@ -1344,24 +1319,9 @@ TEST(EngineParityTest, UnreferencedColumnsRenderAsTheOfflineGuardDoes) {
         int escaped = 0;
         for (size_t r = 0; r < 300; ++r) {
           const Row& row = rows[2 * r + (format == RowFormat::kJson ? 1 : 0)];
-          auto checked = guard.interpreter().CheckedCheck(row);
-          ASSERT_TRUE(checked.ok());
-          RowResult want;
-          if (!checked->empty()) {
-            want.verdict = RowVerdict::kViolation;
-            want.violations = static_cast<uint16_t>(checked->size());
-            auto repaired = guard.ProcessRow(row, scheme);
-            ASSERT_TRUE(repaired.ok());
-            if (!(*repaired == row)) {
-              std::vector<std::string> fields;
-              for (AttrIndex c = 0; c < 4; ++c) {
-                const ValueId v = (*repaired)[static_cast<size_t>(c)];
-                fields.push_back(
-                    v == kNullValue ? "" : offline.attribute(c).label(v));
-              }
-              want.detail = WriteCsvRecord(fields);
-            }
-          }
+          auto expected = OfflineRowResult(guard, offline, row, scheme);
+          ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+          const RowResult& want = *expected;
           EXPECT_TRUE(response.rows[r] == want)
               << RowFormatName(format) << " " << core::ErrorPolicyName(scheme)
               << " row " << r << ": got '" << response.rows[r].detail

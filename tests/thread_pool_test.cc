@@ -3,8 +3,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,26 @@ namespace {
 
 TEST(ThreadPoolTest, DefaultThreadsAtLeastOne) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);
+}
+
+// GUARDRAIL_THREADS is read strictly: a malformed value falls back to the
+// hardware count instead of being truncated to its numeric prefix.
+TEST(ThreadPoolTest, DefaultThreadsReadsEnvStrictly) {
+  const char* saved = std::getenv("GUARDRAIL_THREADS");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ::unsetenv("GUARDRAIL_THREADS");
+  const int fallback = ThreadPool::DefaultThreads();
+  ::setenv("GUARDRAIL_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::DefaultThreads(), 3);
+  for (const char* bad : {"4x", "2.5", "0", "-2", ""}) {
+    ::setenv("GUARDRAIL_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::DefaultThreads(), fallback) << "'" << bad << "'";
+  }
+  if (saved == nullptr) {
+    ::unsetenv("GUARDRAIL_THREADS");
+  } else {
+    ::setenv("GUARDRAIL_THREADS", restore.c_str(), 1);
+  }
 }
 
 TEST(ThreadPoolTest, SubmittedTasksAllRun) {
