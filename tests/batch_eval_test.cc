@@ -395,11 +395,13 @@ TEST(BatchEvalTest, ServeEngineBatchMatchesScalar) {
         auto expected = serve::OfflineRowResult(oracle, schema, row, scheme);
         ASSERT_TRUE(expected.ok()) << expected.status().ToString();
         const serve::RowResult& want = *expected;
-        // Raise refuses exactly the violating rows; ignore keeps them as is.
+        // Raise refuses exactly the violating rows; wherever the expected
+        // detail is empty (ignore, clean rows under every scheme, repairs that
+        // changed nothing) ProcessRow must leave the row as is.
         Result<Row> processed = oracle.ProcessRow(row, scheme);
         ASSERT_EQ(processed.ok(), scheme != ErrorPolicy::kRaise ||
                                       want.verdict == serve::RowVerdict::kOk);
-        if (scheme == ErrorPolicy::kIgnore) {
+        if (processed.ok() && want.detail.empty()) {
           EXPECT_TRUE(*processed == row);
         }
         const serve::RowResult& got = response.rows[r];
